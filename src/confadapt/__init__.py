@@ -10,7 +10,7 @@ pre-training to target-domain fine-tuning of the derived model.
 __version__ = "0.1.0"
 
 from .tensor import Tensor, backward, no_grad
-from .space import ArchSpace, DerivedArch, param_count, param_count_formula, expected_param_count
+from .space import ArchSpace, DerivedArch, param_count, expected_param_count
 from .supernet import ConformerSupernet, DerivedModel, one_hot_weights
 from .search import (
     ArchLogits,
@@ -43,7 +43,7 @@ from .report import stratified_eval, sweep
 
 __all__ = [
     "Tensor", "backward", "no_grad",
-    "ArchSpace", "DerivedArch", "param_count", "param_count_formula", "expected_param_count",
+    "ArchSpace", "DerivedArch", "param_count", "expected_param_count",
     "ConformerSupernet", "DerivedModel", "one_hot_weights",
     "ArchLogits", "TempSchedule", "alternating_step", "expected_weights", "extract",
     "penalized_loss", "sample_weights",

@@ -20,7 +20,9 @@ Sections: ``meta`` (kind), ``space``, ``weights``, and when present
 (one entry per optimizer with Adam moments), ``rng`` (generator state),
 ``lineage`` (ordered stage history with configs).
 
-Writes are atomic (temp file then rename).
+Writes are atomic (temp file then rename). Loading a truncated or
+corrupt file, or one without the ``meta``, ``space``, ``weights`` and
+``lineage`` sections, raises ``IncompatibleCheckpointError``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .space import ArchSpace, DerivedArch
 
 MAGIC = b"CFADCKPT"
 VERSION = 1
+REQUIRED_SECTIONS = ("meta", "space", "weights", "lineage")
 
 
 class IncompatibleCheckpointError(ValueError):
@@ -102,6 +105,40 @@ def _opt_from_section(js, arrays):
     return out
 
 
+def _read_sections(buf, path):
+    """Decode every section of a checkpoint file: name -> (json, arrays)."""
+    if buf[: len(MAGIC)] != MAGIC:
+        raise IncompatibleCheckpointError(f"{path}: not a checkpoint file")
+    try:
+        version, count = struct.unpack_from("<II", buf, len(MAGIC))
+        if version != VERSION:
+            raise IncompatibleCheckpointError(f"{path}: unsupported checkpoint version {version}")
+        ofs = len(MAGIC) + 8
+        table = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", buf, ofs)
+            ofs += 2
+            name = buf[ofs:ofs + nlen].decode("utf-8")
+            ofs += nlen
+            start, size = struct.unpack_from("<QQ", buf, ofs)
+            ofs += 16
+            if start + size > len(buf):
+                raise IncompatibleCheckpointError(
+                    f"{path}: section {name!r} ends at byte {start + size}, "
+                    f"past the end of the {len(buf)}-byte file (truncated?)"
+                )
+            table[name] = (start, size)
+        missing = [n for n in REQUIRED_SECTIONS if n not in table]
+        if missing:
+            raise IncompatibleCheckpointError(f"{path}: missing sections {missing}")
+        return {name: _unpack_section(buf[start:start + size])
+                for name, (start, size) in table.items()}
+    except IncompatibleCheckpointError:
+        raise
+    except (struct.error, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise IncompatibleCheckpointError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+
+
 @dataclass
 class Checkpoint:
     kind: str
@@ -152,42 +189,20 @@ class Checkpoint:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
-        buf = path.read_bytes()
-        if buf[: len(MAGIC)] != MAGIC:
-            raise IncompatibleCheckpointError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack_from("<II", buf, len(MAGIC))
-        if version != VERSION:
-            raise IncompatibleCheckpointError(f"{path}: unsupported checkpoint version {version}")
-        ofs = len(MAGIC) + 8
-        table = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", buf, ofs)
-            ofs += 2
-            name = buf[ofs:ofs + nlen].decode("utf-8")
-            ofs += nlen
-            start, size = struct.unpack_from("<QQ", buf, ofs)
-            ofs += 16
-            table[name] = (start, size)
-
-        def section(name):
-            start, size = table[name]
-            return _unpack_section(buf[start:start + size])
-
-        meta, _ = section("meta")
-        space_js, _ = section("space")
-        _, weights = section("weights")
+        sections = _read_sections(path.read_bytes(), path)
+        meta, _ = sections["meta"]
+        space_js, _ = sections["space"]
+        _, weights = sections["weights"]
         ck = Checkpoint(kind=meta["kind"], space=ArchSpace.from_json(space_js), weights=weights)
-        if "arch" in table:
-            arch_js, _ = section("arch")
-            ck.arch = DerivedArch.from_json(arch_js)
-        if "logits" in table:
-            ck.logits_meta, ck.logits = section("logits")
-        if "optimizer" in table:
-            js, arrays = section("optimizer")
-            ck.opt_state = _opt_from_section(js, arrays)
-        if "rng" in table:
-            ck.rng_state, _ = section("rng")
-        ck.lineage, _ = section("lineage")
+        if "arch" in sections:
+            ck.arch = DerivedArch.from_json(sections["arch"][0])
+        if "logits" in sections:
+            ck.logits_meta, ck.logits = sections["logits"]
+        if "optimizer" in sections:
+            ck.opt_state = _opt_from_section(*sections["optimizer"])
+        if "rng" in sections:
+            ck.rng_state, _ = sections["rng"]
+        ck.lineage, _ = sections["lineage"]
         return ck
 
     def require_kind(self, kind, what):

@@ -32,10 +32,6 @@ class Adam:
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
             p.grad[...] = 0.0
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad[...] = 0.0
-
     def state_dict(self):
         return {
             "t": self.t,

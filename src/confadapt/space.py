@@ -220,10 +220,3 @@ def expected_param_count(space, weights):
 
     total = _cost(space, val)
     return total if isinstance(total, Tensor) else float(total)
-
-
-def param_count_formula(space, arch_or_weights):
-    """Exact count for a derived arch, expectation for mixing weights."""
-    if isinstance(arch_or_weights, DerivedArch):
-        return param_count(space, arch_or_weights)
-    return expected_param_count(space, arch_or_weights)

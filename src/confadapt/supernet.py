@@ -1,16 +1,21 @@
 """Conformer encoder / Transformer decoder with weight-shared candidate
 branches for the searchable sub-modules.
 
-Weight sharing uses leading slices of one max-size buffer per sub-module:
-feed-forward candidates take the leading columns/rows of the widest
-matrices, attention candidates the leading heads and head dims of the
-largest projection, kernel candidates the center taps of the widest
-depthwise kernel. The same slices serve search-time mixing, one-hot
-forwards, and extraction, so a one-hot mixture, the direct single-branch
-forward, and the materialized standalone model agree numerically.
+Each searchable sub-module keeps one max-size buffer per parameter and
+is the only place that knows how a choice maps onto it: feed-forward
+candidates take the leading hidden units of the widest matrices,
+attention candidates the leading heads and head dims of the largest
+projections, kernel candidates the center taps of the widest depthwise
+kernel. A module has one forward entry, which takes either its mixing
+weights (one tensor per group) or a concrete choice, and one ``export``,
+which returns the parameter arrays a choice reads, keyed by full name.
+Both go through the same slice helper, so a one-hot mixture, the direct
+single-branch forward and the materialized standalone model agree
+numerically.
 
-The materialized model reuses the block machinery with buffers sized to
-its architecture, always running the single-branch path.
+Blocks take one selector, a mixing-weight dict or a ``DerivedArch``,
+both indexed by group key. A materialized model reuses the blocks with
+buffers sized to its architecture and selects with its own arch.
 """
 
 from __future__ import annotations
@@ -91,12 +96,8 @@ class _LN:
 
 
 # ---------------------------------------------------------------------
-# functional cores shared by all paths
+# attention core
 # ---------------------------------------------------------------------
-
-
-def ff_apply(x, w1, b1, w2, b2):
-    return T.swish(x @ w1 + b1) @ w2 + b2
 
 
 def _attn_mask(batch, t_q, t_k, key_pad, causal):
@@ -129,10 +130,16 @@ def attn_core(q, k, v, head_dim, key_pad=None, causal=False):
 # ---------------------------------------------------------------------
 
 
+def _export(prefix, names, arrays):
+    """Contiguous copies of sliced parameter arrays, keyed by full name."""
+    return {f"{prefix}.{n}": a.copy() for n, a in zip(names, arrays)}
+
+
 class SearchableFF:
     """Macaron-style feed-forward with a searchable hidden width."""
 
     def __init__(self, build, prefix, d, choices, width):
+        self.prefix = prefix
         self.choices = tuple(choices)
         self.width = width
         self.w1 = build(prefix + ".w1", (d, width), "xavier")
@@ -144,21 +151,33 @@ class SearchableFF:
             m[i, :c] = 1.0
         self._prefix_cols = Tensor(m)
 
-    def mixed(self, x, lam):
-        # sum_i lam_i * branch_i(x) collapses to one pass with per-column
-        # cumulative weights, since column j feeds every branch wider than j
-        h = T.swish(x @ self.w1 + self.b1)
-        colw = (lam.reshape(1, -1) @ self._prefix_cols).reshape(self.width)
-        return (h * colw) @ self.w2 + self.b2
+    @staticmethod
+    def _slice(fd, w1, b1, w2):
+        return w1[:, :fd], b1[:fd], w2[:fd, :]
 
-    def selected(self, x, fd):
-        return ff_apply(x, self.w1[:, :fd], self.b1[:fd], self.w2[:fd, :], self.b2)
+    def __call__(self, x, sel):
+        """``sel``: mixing weights over ``choices`` (Tensor) or a width."""
+        if isinstance(sel, Tensor):
+            # sum_i lam_i * branch_i(x) collapses to one pass with per-column
+            # cumulative weights, since column j feeds every branch wider than j
+            h = T.swish(x @ self.w1 + self.b1)
+            colw = (sel.reshape(1, -1) @ self._prefix_cols).reshape(self.width)
+            return (h * colw) @ self.w2 + self.b2
+        w1, b1, w2 = self._slice(sel, self.w1, self.b1, self.w2)
+        return T.swish(x @ w1 + b1) @ w2 + self.b2
+
+    def export(self, fd):
+        return _export(self.prefix, ("w1", "b1", "w2"),
+                       self._slice(fd, self.w1.data, self.b1.data, self.w2.data))
 
 
 class SearchableAttention:
     """Multi-head attention with searchable head count and head dim."""
 
+    _IN = ("wq", "bq", "wk", "bk", "wv", "bv")
+
     def __init__(self, build, prefix, d, h_choices, a_choices, h_max, a_max):
+        self.prefix = prefix
         self.d = d
         self.h_choices = tuple(h_choices)
         self.a_choices = tuple(a_choices)
@@ -174,20 +193,36 @@ class SearchableAttention:
         self.wo = build(prefix + ".wo", (wide, d), "xavier")
         self.bo = build(prefix + ".bo", (d,), "zeros")
 
+    def _in_slice(self, w, h, a):
+        # input projections (d, H*A) and their biases (H*A,): heads packed
+        # on the last axis, head-major
+        lead = w.shape[:-1]
+        return w.reshape(*lead, self.h_max, self.a_max)[..., :h, :a].reshape(*lead, h * a)
+
+    def _out_slice(self, wo, h, a):
+        return wo.reshape(self.h_max, self.a_max, self.d)[:h, :a, :].reshape(h * a, self.d)
+
     def _proj_in(self, w, b, x, h, a):
         bt = x.shape[:2]
-        if h == self.h_max and a == self.a_max:
-            return (x @ w + b).reshape(bt[0], bt[1], h, a)
-        ws = w.reshape(self.d, self.h_max, self.a_max)[:, :h, :a].reshape(self.d, h * a)
-        bs = b.reshape(self.h_max, self.a_max)[:h, :a].reshape(h * a)
-        return (x @ ws + bs).reshape(bt[0], bt[1], h, a)
+        if h != self.h_max or a != self.a_max:
+            w, b = self._in_slice(w, h, a), self._in_slice(b, h, a)
+        return (x @ w + b).reshape(bt[0], bt[1], h, a)
 
     def _proj_out(self, ctx, h, a):
         b, t_q = ctx.shape[0], ctx.shape[1]
-        wo = self.wo.reshape(self.h_max, self.a_max, self.d)[:h, :a, :].reshape(h * a, self.d)
+        wo = self._out_slice(self.wo, h, a)
         return ctx.reshape(b, t_q, h * a) @ wo
 
-    def mixed(self, x_q, x_kv, lam_h, lam_a, key_pad=None, causal=False):
+    def __call__(self, x_q, x_kv, sel_h, sel_a, key_pad=None, causal=False):
+        """``sel_h``, ``sel_a``: mixing weights over ``h_choices`` and
+        ``a_choices`` (Tensors), or a head count and head dim."""
+        if not isinstance(sel_h, Tensor):
+            h, a = sel_h, sel_a
+            q = self._proj_in(self.wq, self.bq, x_q, h, a)
+            k = self._proj_in(self.wk, self.bk, x_kv, h, a)
+            v = self._proj_in(self.wv, self.bv, x_kv, h, a)
+            ctx = attn_core(q, k, v, a, key_pad, causal)
+            return self._proj_out(ctx, h, a) + self.bo
         # enumerate the (heads, head dim) grid; the projections are done
         # once at full width, candidates slice heads/dims out of them
         qf = self._proj_in(self.wq, self.bq, x_q, self.h_max, self.a_max)
@@ -200,22 +235,21 @@ class SearchableAttention:
             )
             for hi, h in enumerate(self.h_choices):
                 o = self._proj_out(ctx_a[:, :, :h, :], h, a)
-                term = o * (lam_h[hi] * lam_a[ai])
+                term = o * (sel_h[hi] * sel_a[ai])
                 out = term if out is None else out + term
         return out + self.bo
 
-    def selected(self, x_q, x_kv, h, a, key_pad=None, causal=False):
-        q = self._proj_in(self.wq, self.bq, x_q, h, a)
-        k = self._proj_in(self.wk, self.bk, x_kv, h, a)
-        v = self._proj_in(self.wv, self.bv, x_kv, h, a)
-        ctx = attn_core(q, k, v, a, key_pad, causal)
-        return self._proj_out(ctx, h, a) + self.bo
+    def export(self, h, a):
+        arrays = [self._in_slice(getattr(self, n).data, h, a) for n in self._IN]
+        arrays.append(self._out_slice(self.wo.data, h, a))
+        return _export(self.prefix, self._IN + ("wo",), arrays)
 
 
 class SearchableConv:
     """Conformer convolution module with a searchable depthwise kernel."""
 
     def __init__(self, build, prefix, d, choices, width):
+        self.prefix = prefix
         self.choices = tuple(choices)
         self.width = width
         self.pw1 = build(prefix + ".pw1", (d, 2 * d), "xavier")
@@ -226,33 +260,37 @@ class SearchableConv:
         self.pw2 = build(prefix + ".pw2", (d, d), "xavier")
         self.pb2 = build(prefix + ".pb2", (d,), "zeros")
 
-    def _front(self, x):
-        return T.glu(x @ self.pw1 + self.pb1, axis=-1)
-
-    def kernel_slice(self, ck):
+    def _slice(self, ck, dw):
+        # center taps
         lo = (self.width - ck) // 2
-        return self.dw[lo:lo + ck, :] if ck != self.width else self.dw
+        return dw[lo:lo + ck, :] if ck != self.width else dw
 
     def _tail(self, u, kernel):
         y = T.depthwise_conv1d(u, kernel, self.db)
         y = T.swish(self.ln(y))
         return y @ self.pw2 + self.pb2
 
-    def mixed(self, x, lam):
-        u = self._front(x)
+    def __call__(self, x, sel):
+        """``sel``: mixing weights over ``choices`` (Tensor) or a kernel size."""
+        u = T.glu(x @ self.pw1 + self.pb1, axis=-1)
+        if not isinstance(sel, Tensor):
+            return self._tail(u, self._slice(sel, self.dw))
         out = None
         for ki, ck in enumerate(self.choices):
-            term = self._tail(u, self.kernel_slice(ck)) * lam[ki]
+            term = self._tail(u, self._slice(ck, self.dw)) * sel[ki]
             out = term if out is None else out + term
         return out
 
-    def selected(self, x, ck):
-        return self._tail(self._front(x), self.kernel_slice(ck))
+    def export(self, ck):
+        return _export(self.prefix, ("dw",), (self._slice(ck, self.dw.data),))
 
 
 # ---------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------
+#
+# ``sel`` is a mixing-weight dict or a DerivedArch; both map group keys
+# to what the searchable modules take.
 
 
 class EncoderBlock:
@@ -275,27 +313,26 @@ class EncoderBlock:
         self.ff2 = SearchableFF(build, p + ".ff2", d, space.ff_choices, size_of(self.keys["fd"]))
         self.ln_out = _LN(build, p + ".ln_out", d)
 
-    def forward(self, x, pad, weights=None, arch=None):
+    def forward(self, x, pad, sel):
         k = self.keys
-        if weights is not None:
-            x = x + self.ff1.mixed(self.ln_ff1(x), weights[k["fd"]]) * 0.5
-            a_in = self.ln_attn(x)
-            x = x + self.attn.mixed(a_in, a_in, weights[k["ah"]], weights[k["adim"]], key_pad=pad)
-            c_in = self.ln_conv(x)
-            if pad is not None:
-                c_in = T.masked_fill(c_in, pad[:, :, None], 0.0)
-            x = x + self.conv.mixed(c_in, weights[k["ck"]])
-            x = x + self.ff2.mixed(self.ln_ff2(x), weights[k["fd"]]) * 0.5
-        else:
-            x = x + self.ff1.selected(self.ln_ff1(x), arch[k["fd"]]) * 0.5
-            a_in = self.ln_attn(x)
-            x = x + self.attn.selected(a_in, a_in, arch[k["ah"]], arch[k["adim"]], key_pad=pad)
-            c_in = self.ln_conv(x)
-            if pad is not None:
-                c_in = T.masked_fill(c_in, pad[:, :, None], 0.0)
-            x = x + self.conv.selected(c_in, arch[k["ck"]])
-            x = x + self.ff2.selected(self.ln_ff2(x), arch[k["fd"]]) * 0.5
+        x = x + self.ff1(self.ln_ff1(x), sel[k["fd"]]) * 0.5
+        a_in = self.ln_attn(x)
+        x = x + self.attn(a_in, a_in, sel[k["ah"]], sel[k["adim"]], key_pad=pad)
+        c_in = self.ln_conv(x)
+        if pad is not None:
+            c_in = T.masked_fill(c_in, pad[:, :, None], 0.0)
+        x = x + self.conv(c_in, sel[k["ck"]])
+        x = x + self.ff2(self.ln_ff2(x), sel[k["fd"]]) * 0.5
         return self.ln_out(x)
+
+    def export(self, arch):
+        k = self.keys
+        return {
+            **self.ff1.export(arch[k["fd"]]),
+            **self.attn.export(arch[k["ah"]], arch[k["adim"]]),
+            **self.conv.export(arch[k["ck"]]),
+            **self.ff2.export(arch[k["fd"]]),
+        }
 
 
 class DecoderBlock:
@@ -322,22 +359,21 @@ class DecoderBlock:
         self.ln_ff = _LN(build, p + ".ln_ff", d)
         self.ff = SearchableFF(build, p + ".ff", d, space.ff_choices, size_of(self.key_fd))
 
-    def forward(self, x, enc, enc_pad, weights=None, arch=None):
+    def forward(self, x, enc, enc_pad, sel):
         hs, ds = self.key_self
         hc, dc = self.key_cross
-        if weights is not None:
-            s_in = self.ln_self(x)
-            x = x + self.self_attn.mixed(s_in, s_in, weights[hs], weights[ds], causal=True)
-            c_in = self.ln_cross(x)
-            x = x + self.cross_attn.mixed(c_in, enc, weights[hc], weights[dc], key_pad=enc_pad)
-            x = x + self.ff.mixed(self.ln_ff(x), weights[self.key_fd])
-        else:
-            s_in = self.ln_self(x)
-            x = x + self.self_attn.selected(s_in, s_in, arch[hs], arch[ds], causal=True)
-            c_in = self.ln_cross(x)
-            x = x + self.cross_attn.selected(c_in, enc, arch[hc], arch[dc], key_pad=enc_pad)
-            x = x + self.ff.selected(self.ln_ff(x), arch[self.key_fd])
-        return x
+        s_in = self.ln_self(x)
+        x = x + self.self_attn(s_in, s_in, sel[hs], sel[ds], causal=True)
+        c_in = self.ln_cross(x)
+        x = x + self.cross_attn(c_in, enc, sel[hc], sel[dc], key_pad=enc_pad)
+        return x + self.ff(self.ln_ff(x), sel[self.key_fd])
+
+    def export(self, arch):
+        return {
+            **self.self_attn.export(*(arch[k] for k in self.key_self)),
+            **self.cross_attn.export(*(arch[k] for k in self.key_cross)),
+            **self.ff.export(arch[self.key_fd]),
+        }
 
 
 # ---------------------------------------------------------------------
@@ -380,7 +416,11 @@ class _ConformerCore:
         self.dec_final = _LN(build, "dec.final_ln", d)
         self.out_w = build("out.w", (d, v), "xavier")
         self.out_b = build("out.b", (v,), "zeros")
+        self.params = build.params
         self._pos = {}
+
+    def named_parameters(self):
+        return dict(self.params)
 
     def _posenc(self, length):
         if length not in self._pos:
@@ -409,23 +449,23 @@ class _ConformerCore:
         x = x + self._posenc(x.shape[1])
         return x, lens, pad
 
-    def _encode(self, features, lens, weights=None, arch=None):
+    def _encode(self, features, lens, sel):
         x, enc_lens, pad = self._front_end(features, lens)
         for blk in self.enc_blocks:
-            x = blk.forward(x, pad, weights=weights, arch=arch)
+            x = blk.forward(x, pad, sel)
         enc = self.enc_final(x)
         ctc_lp = T.log_softmax(enc @ self.ctc_w + self.ctc_b, axis=-1)
         return enc, enc_lens, pad, ctc_lp
 
-    def _decode(self, enc, enc_pad, tokens_in, weights=None, arch=None):
+    def _decode(self, enc, enc_pad, tokens_in, sel):
         d = self.space.model_dim
         x = T.embedding(self.embed, np.asarray(tokens_in)) * math.sqrt(d)
         x = x + self._posenc(x.shape[1])
         for blk in self.dec_blocks:
-            x = blk.forward(x, enc, enc_pad, weights=weights, arch=arch)
+            x = blk.forward(x, enc, enc_pad, sel)
         return self.dec_final(x) @ self.out_w + self.out_b
 
-    def _forward(self, features, lens, tokens_in, weights=None, arch=None):
+    def _forward(self, features, lens, tokens_in, sel):
         features = np.asarray(features, dtype=np.float64)
         lens = np.asarray(lens)
         if features.ndim != 3:
@@ -438,8 +478,8 @@ class _ConformerCore:
             raise ShapeError(
                 f"forward: lengths {lens.tolist()} do not match features of shape {features.shape}"
             )
-        enc, enc_lens, pad, ctc_lp = self._encode(features, lens, weights=weights, arch=arch)
-        logits = self._decode(enc, pad, tokens_in, weights=weights, arch=arch)
+        enc, enc_lens, pad, ctc_lp = self._encode(features, lens, sel)
+        logits = self._decode(enc, pad, tokens_in, sel)
         return ForwardOut(enc=enc, enc_lens=enc_lens, ctc_logprobs=ctc_lp, dec_logits=logits)
 
 
@@ -476,74 +516,27 @@ class ConformerSupernet(_ConformerCore):
     """All candidate structures in one weight-shared model."""
 
     def __init__(self, space, seed=0):
-        params = {}
-        build = _Builder(params, rng=np.random.default_rng(seed))
+        build = _Builder({}, rng=np.random.default_rng(seed))
         size_of = lambda key: max(space.group_choices(key))
         super().__init__(space, size_of, build)
-        self.params = params
-
-    def named_parameters(self):
-        return dict(self.params)
 
     def mixed_forward(self, batch, weights):
         """Forward with every searchable sub-module mixing its branches."""
         lam = _check_weights(self.space, weights)
-        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, weights=lam)
+        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, lam)
 
     def one_hot_forward(self, batch, arch):
         """Forward running only the branches selected by ``arch``."""
         arch.validate(self.space)
-        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, arch=arch)
+        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, arch)
 
     def sliced_weights(self, arch):
         """Copy out the parameter subset a derived arch uses."""
         arch.validate(self.space)
-        out = {}
-        for name, p in self.params.items():
-            out[name] = p.data.copy()
-        space = self.space
-        for b in range(space.encoder_blocks):
-            fd = arch[("enc", b, "fd")]
-            h = arch[("enc", b, "ah")]
-            a = arch[("enc", b, "adim")]
-            ck = arch[("enc", b, "ck")]
-            for ff in ("ff1", "ff2"):
-                out[f"enc.{b}.{ff}.w1"] = out[f"enc.{b}.{ff}.w1"][:, :fd].copy()
-                out[f"enc.{b}.{ff}.b1"] = out[f"enc.{b}.{ff}.b1"][:fd].copy()
-                out[f"enc.{b}.{ff}.w2"] = out[f"enc.{b}.{ff}.w2"][:fd, :].copy()
-            self._slice_attention(out, f"enc.{b}.attn", h, a,
-                                  max(space.head_choices), max(space.head_dim_choices))
-            wide = max(space.kernel_choices)
-            lo = (wide - ck) // 2
-            out[f"enc.{b}.conv.dw"] = out[f"enc.{b}.conv.dw"][lo:lo + ck, :].copy()
-        for b in range(space.decoder_blocks):
-            fd = arch[("dec", b, "fd")]
-            out[f"dec.{b}.ff.w1"] = out[f"dec.{b}.ff.w1"][:, :fd].copy()
-            out[f"dec.{b}.ff.b1"] = out[f"dec.{b}.ff.b1"][:fd].copy()
-            out[f"dec.{b}.ff.w2"] = out[f"dec.{b}.ff.w2"][:fd, :].copy()
-            if space.split_decoder_attention:
-                hs, as_ = arch[("dec", b, "ah_self")], arch[("dec", b, "adim_self")]
-                hc, ac = arch[("dec", b, "ah_cross")], arch[("dec", b, "adim_cross")]
-            else:
-                hs = hc = arch[("dec", b, "ah")]
-                as_ = ac = arch[("dec", b, "adim")]
-            self._slice_attention(out, f"dec.{b}.self_attn", hs, as_,
-                                  max(space.head_choices), max(space.head_dim_choices))
-            self._slice_attention(out, f"dec.{b}.cross_attn", hc, ac,
-                                  max(space.head_choices), max(space.head_dim_choices))
+        out = {name: p.data.copy() for name, p in self.params.items()}
+        for blk in self.enc_blocks + self.dec_blocks:
+            out.update(blk.export(arch))
         return out
-
-    @staticmethod
-    def _slice_attention(out, prefix, h, a, h_max, a_max):
-        d = out[f"{prefix}.wq"].shape[0]
-        for w in ("wq", "wk", "wv"):
-            m = out[f"{prefix}.{w}"].reshape(d, h_max, a_max)
-            out[f"{prefix}.{w}"] = m[:, :h, :a].reshape(d, h * a).copy()
-        for bname in ("bq", "bk", "bv"):
-            m = out[f"{prefix}.{bname}"].reshape(h_max, a_max)
-            out[f"{prefix}.{bname}"] = m[:h, :a].reshape(h * a).copy()
-        m = out[f"{prefix}.wo"].reshape(h_max, a_max, d)
-        out[f"{prefix}.wo"] = m[:h, :a, :].reshape(h * a, d).copy()
 
     def materialize(self, arch, init="inherit", seed=None):
         """Standalone model for ``arch``, inheriting slices or drawn fresh."""
@@ -561,30 +554,25 @@ class DerivedModel(_ConformerCore):
     def __init__(self, space, arch, weights=None, seed=None):
         arch.validate(space)
         self.arch = arch
-        params = {}
         if weights is not None:
-            build = _Builder(params, source=weights)
+            build = _Builder({}, source=weights)
         else:
-            build = _Builder(params, rng=np.random.default_rng(0 if seed is None else seed))
+            build = _Builder({}, rng=np.random.default_rng(0 if seed is None else seed))
         super().__init__(space, lambda key: arch[key], build)
-        self.params = params
-
-    def named_parameters(self):
-        return dict(self.params)
 
     def param_count(self):
         return sum(p.data.size for p in self.params.values())
 
     def forward(self, batch):
-        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, arch=self.arch)
+        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, self.arch)
 
     def forward_encoder(self, features, lens):
-        enc, enc_lens, _, ctc_lp = self._encode(features, lens, arch=self.arch)
+        enc, enc_lens, _, ctc_lp = self._encode(features, lens, self.arch)
         return enc, enc_lens, ctc_lp
 
     def forward_decoder(self, enc, enc_lens, tokens_in):
         pad = self._pad_mask(enc_lens, enc.shape[1])
-        return self._decode(enc, pad, tokens_in, arch=self.arch)
+        return self._decode(enc, pad, tokens_in, self.arch)
 
     def reinit_output_layers(self, rng):
         """Redraw the token output projections (decoder head and CTC head)."""

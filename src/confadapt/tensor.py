@@ -72,9 +72,6 @@ class Tensor:
             raise ValueError(f"item: tensor of shape {self.data.shape} is not scalar")
         return float(self.data.reshape(())[()])
 
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0

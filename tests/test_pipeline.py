@@ -76,6 +76,21 @@ class TestCheckpointRoundTrip:
         with pytest.raises(IncompatibleCheckpointError, match="not a checkpoint"):
             Checkpoint.load(bad)
 
+    def test_truncated_file_or_missing_section_names_path(self, tmp_path):
+        weights = {n: p.data for n, p in ConformerSupernet(SPACE, seed=0).params.items()}
+        good = tmp_path / "good.ckpt"
+        Checkpoint(kind="supernet", space=SPACE, weights=weights, lineage=[{"stage": "p"}]).save(good)
+        blob = good.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in (10, 20, 64, len(blob) // 2, len(blob) - 3, len(blob) - 1):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt"):
+                Checkpoint.load(bad)
+        # the first occurrence of the name is its entry in the section table
+        bad.write_bytes(blob.replace(b"lineage", b"lineagX", 1))
+        with pytest.raises(IncompatibleCheckpointError, match="missing sections.*lineage"):
+            Checkpoint.load(bad)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             Checkpoint.load(tmp_path / "absent.ckpt")

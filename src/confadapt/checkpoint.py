@@ -15,14 +15,18 @@ Each section payload is a JSON part plus an array blob:
     per array: u16 name length, name utf8, u8 ndim, u64 per-dim extents,
                then float64 values, row-major
 
-Sections: ``meta`` (kind), ``space``, ``weights``, and when present
-``arch``, ``logits`` (+ temperature/eta in its JSON part), ``optimizer``
-(one entry per optimizer with Adam moments), ``rng`` (generator state),
-``lineage`` (ordered stage history with configs).
+Sections, in file order: ``meta`` (kind), ``space``, ``weights``, then
+``logits`` (+ temperature in its JSON part) in a supernet checkpoint or
+``arch`` in a model checkpoint, then ``lineage`` (ordered stage history
+with configs). Older files may also hold ``optimizer`` (Adam moments)
+and ``rng`` (generator state) sections; they still load, and those two
+sections are ignored.
 
 Writes are atomic (temp file then rename). Loading a truncated or
-corrupt file, or one without the ``meta``, ``space``, ``weights`` and
-``lineage`` sections, raises ``IncompatibleCheckpointError``.
+corrupt file, one without the ``meta``, ``space``, ``weights`` and
+``lineage`` sections, or one whose sections hold malformed contents
+(such as an ``arch`` that does not fit its ``space``) raises
+``IncompatibleCheckpointError`` naming the path.
 """
 
 from __future__ import annotations
@@ -86,57 +90,47 @@ def _unpack_section(buf):
     return json_obj, arrays
 
 
-def _opt_to_section(opt_state):
-    js = {}
-    arrays = {}
-    for opt_name, st in opt_state.items():
-        js[opt_name] = {"t": st["t"], "lr": st["lr"]}
-        for kind in ("m", "v"):
-            for pname, arr in st[kind].items():
-                arrays[f"{opt_name}/{kind}/{pname}"] = arr
-    return js, arrays
-
-
-def _opt_from_section(js, arrays):
-    out = {name: {"t": meta["t"], "lr": meta["lr"], "m": {}, "v": {}} for name, meta in js.items()}
-    for key, arr in arrays.items():
-        opt_name, kind, pname = key.split("/", 2)
-        out[opt_name][kind][pname] = arr
-    return out
-
-
 def _read_sections(buf, path):
     """Decode every section of a checkpoint file: name -> (json, arrays)."""
     if buf[: len(MAGIC)] != MAGIC:
         raise IncompatibleCheckpointError(f"{path}: not a checkpoint file")
-    try:
-        version, count = struct.unpack_from("<II", buf, len(MAGIC))
-        if version != VERSION:
-            raise IncompatibleCheckpointError(f"{path}: unsupported checkpoint version {version}")
-        ofs = len(MAGIC) + 8
-        table = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", buf, ofs)
-            ofs += 2
-            name = buf[ofs:ofs + nlen].decode("utf-8")
-            ofs += nlen
-            start, size = struct.unpack_from("<QQ", buf, ofs)
-            ofs += 16
-            if start + size > len(buf):
-                raise IncompatibleCheckpointError(
-                    f"{path}: section {name!r} ends at byte {start + size}, "
-                    f"past the end of the {len(buf)}-byte file (truncated?)"
-                )
-            table[name] = (start, size)
-        missing = [n for n in REQUIRED_SECTIONS if n not in table]
-        if missing:
-            raise IncompatibleCheckpointError(f"{path}: missing sections {missing}")
-        return {name: _unpack_section(buf[start:start + size])
-                for name, (start, size) in table.items()}
-    except IncompatibleCheckpointError:
-        raise
-    except (struct.error, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-        raise IncompatibleCheckpointError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    version, count = struct.unpack_from("<II", buf, len(MAGIC))
+    if version != VERSION:
+        raise IncompatibleCheckpointError(f"{path}: unsupported checkpoint version {version}")
+    ofs = len(MAGIC) + 8
+    table = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", buf, ofs)
+        ofs += 2
+        name = buf[ofs:ofs + nlen].decode("utf-8")
+        ofs += nlen
+        start, size = struct.unpack_from("<QQ", buf, ofs)
+        ofs += 16
+        if start + size > len(buf):
+            raise IncompatibleCheckpointError(
+                f"{path}: section {name!r} ends at byte {start + size}, "
+                f"past the end of the {len(buf)}-byte file (truncated?)"
+            )
+        table[name] = (start, size)
+    missing = [n for n in REQUIRED_SECTIONS if n not in table]
+    if missing:
+        raise IncompatibleCheckpointError(f"{path}: missing sections {missing}")
+    return {name: _unpack_section(buf[start:start + size])
+            for name, (start, size) in table.items()}
+
+
+def _from_sections(sections):
+    meta, _ = sections["meta"]
+    space_js, _ = sections["space"]
+    _, weights = sections["weights"]
+    ck = Checkpoint(kind=meta["kind"], space=ArchSpace.from_json(space_js), weights=weights)
+    if "arch" in sections:
+        ck.arch = DerivedArch.from_json(sections["arch"][0])
+        ck.arch.validate(ck.space)
+    if "logits" in sections:
+        ck.logits_meta, ck.logits = sections["logits"]
+    ck.lineage, _ = sections["lineage"]
+    return ck
 
 
 @dataclass
@@ -147,8 +141,6 @@ class Checkpoint:
     arch: DerivedArch | None = None
     logits: dict | None = None
     logits_meta: dict | None = None
-    opt_state: dict | None = None
-    rng_state: dict | None = None
     lineage: list = field(default_factory=list)
 
     def save(self, path):
@@ -159,11 +151,6 @@ class Checkpoint:
             sections.append(("arch", self.arch.to_json(), {}))
         if self.logits is not None:
             sections.append(("logits", self.logits_meta or {}, self.logits))
-        if self.opt_state is not None:
-            js, arrays = _opt_to_section(self.opt_state)
-            sections.append(("optimizer", js, arrays))
-        if self.rng_state is not None:
-            sections.append(("rng", self.rng_state, {}))
         sections.append(("lineage", self.lineage, {}))
 
         payloads = [(name, _pack_section(js, arrays)) for name, js, arrays in sections]
@@ -189,21 +176,16 @@ class Checkpoint:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
-        sections = _read_sections(path.read_bytes(), path)
-        meta, _ = sections["meta"]
-        space_js, _ = sections["space"]
-        _, weights = sections["weights"]
-        ck = Checkpoint(kind=meta["kind"], space=ArchSpace.from_json(space_js), weights=weights)
-        if "arch" in sections:
-            ck.arch = DerivedArch.from_json(sections["arch"][0])
-        if "logits" in sections:
-            ck.logits_meta, ck.logits = sections["logits"]
-        if "optimizer" in sections:
-            ck.opt_state = _opt_from_section(*sections["optimizer"])
-        if "rng" in sections:
-            ck.rng_state, _ = sections["rng"]
-        ck.lineage, _ = sections["lineage"]
-        return ck
+        try:
+            return _from_sections(_read_sections(path.read_bytes(), path))
+        except IncompatibleCheckpointError:
+            raise
+        # ValueError covers JSON, UTF-8, space and arch validation errors
+        except (struct.error, KeyError, TypeError, ValueError) as exc:
+            raise IncompatibleCheckpointError(
+                f"{path}: truncated, corrupt or malformed checkpoint "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
 
     def require_kind(self, kind, what):
         if self.kind != kind:

@@ -193,10 +193,17 @@ def _read_features(path):
     raw = Path(path).read_bytes()
     if raw[:4] != FEAT_MAGIC:
         raise ValueError(f"{path}: not a feature file")
+    if len(raw) < 24:
+        raise ValueError(f"{path}: truncated feature header ({len(raw)} of 24 bytes)")
     version, frames, dim = struct.unpack("<IQQ", raw[4:24])
     if version != FEAT_VERSION:
         raise ValueError(f"{path}: unsupported feature version {version}")
-    data = np.frombuffer(raw[24:], dtype="<f8", count=frames * dim)
+    if len(raw) != 24 + 8 * frames * dim:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes, but a {frames}x{dim} feature file "
+            f"has {24 + 8 * frames * dim} (truncated or trailing data)"
+        )
+    data = np.frombuffer(raw[24:], dtype="<f8")
     return data.reshape(frames, dim).astype(np.float64)
 
 

@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter dicts, with serializable state."""
+"""Adam optimizer over named parameter dicts."""
 
 from __future__ import annotations
 
@@ -31,21 +31,6 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
             p.grad[...] = 0.0
-
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "lr": self.lr,
-            "m": {n: a.copy() for n, a in self.m.items()},
-            "v": {n: a.copy() for n, a in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        self.lr = float(state.get("lr", self.lr))
-        for n in self.params:
-            self.m[n][...] = state["m"][n]
-            self.v[n][...] = state["v"][n]
 
 
 def zero_all(*param_dicts):

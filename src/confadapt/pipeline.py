@@ -21,7 +21,9 @@ Stage kinds:
 
 Each stage derives all of its randomness from its own seed, so a recipe
 resumed at any stage boundary reproduces an uninterrupted run
-bit-exactly.
+bit-exactly. A checkpoint holds what the next stage reads (weights,
+logits or arch, lineage), not optimizer or generator state, so a stage
+killed part-way restarts from scratch.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .data import iter_batches
 from .losses import greedy_decode, hybrid_batch_loss, edit_distance
 from .optim import Adam
 from .search import ArchLogits, TempSchedule, alternating_step, extract
+from .space import _key_str
 from .supernet import ConformerSupernet, DerivedModel
 from .tensor import backward
 
@@ -135,13 +138,13 @@ def model_from_checkpoint(ckpt):
     return DerivedModel(ckpt.space, ckpt.arch, weights=ckpt.weights)
 
 
-def logits_from_checkpoint(ckpt, eta=0.0, seed=0):
-    logits = ArchLogits(ckpt.space, eta=eta, seed=seed)
+def logits_from_checkpoint(ckpt, eta=0.0):
+    logits = ArchLogits(ckpt.space, eta=eta)
     meta = ckpt.logits_meta or {}
     if "temperature" in meta:
         logits.temperature = float(meta["temperature"])
     for key, vec in logits.groups.items():
-        name = f"{key[0]}.{key[1]}.{key[2]}"
+        name = _key_str(key)
         if name not in ckpt.logits:
             raise IncompatibleCheckpointError(f"checkpoint is missing logits group {name}")
         vec.data[...] = ckpt.logits[name]
@@ -172,15 +175,13 @@ def _check_finite(value, stage, epoch):
         )
 
 
-def _supernet_checkpoint(task, logits, opt_w, opt_l, lineage):
+def _supernet_checkpoint(task, logits, lineage):
     return Checkpoint(
         kind="supernet",
         space=task.space,
         weights={n: p.data.copy() for n, p in task.named_parameters().items()},
-        logits={f"{k[0]}.{k[1]}.{k[2]}": v.data.copy() for k, v in logits.groups.items()},
-        logits_meta={"temperature": logits.temperature, "eta": logits.eta},
-        opt_state={"weights": opt_w.state_dict(), "logits": opt_l.state_dict()},
-        rng_state=logits.rng.bit_generator.state,
+        logits={_key_str(k): v.data.copy() for k, v in logits.groups.items()},
+        logits_meta={"temperature": logits.temperature},
         lineage=lineage,
     )
 
@@ -196,7 +197,7 @@ def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
     sched = TempSchedule(cfg.t_start, cfg.t_end)
     history = []
 
-    ckpt = _supernet_checkpoint(task, logits, opt_w, opt_l, lineage)
+    ckpt = _supernet_checkpoint(task, logits, lineage)
     ckpt.save(out_path)
     for epoch in range(cfg.epochs):
         logits.temperature = sched.value(epoch, cfg.epochs)
@@ -216,18 +217,17 @@ def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
             "train_loss": float(sums[0] / count),
             "heldout_loss": float(sums[1] / count),
         })
-        ckpt = _supernet_checkpoint(task, logits, opt_w, opt_l, lineage)
+        ckpt = _supernet_checkpoint(task, logits, lineage)
         ckpt.save(out_path)
     return ckpt, history
 
 
-def _model_checkpoint(model, opt, lineage):
+def _model_checkpoint(model, lineage):
     return Checkpoint(
         kind="model",
         space=model.space,
         arch=model.arch,
         weights={n: p.data.copy() for n, p in model.named_parameters().items()},
-        opt_state={"weights": opt.state_dict()},
         lineage=lineage,
     )
 
@@ -243,7 +243,7 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
     best = None  # (ter, epoch, weights)
     bad_epochs = 0
 
-    ckpt = _model_checkpoint(model, opt, lineage)
+    ckpt = _model_checkpoint(model, lineage)
     ckpt.save(out_path)
     for epoch in range(cfg.epochs):
         total = 0.0
@@ -271,13 +271,13 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
             else:
                 bad_epochs += 1
         history.append(entry)
-        ckpt = _model_checkpoint(model, opt, lineage)
+        ckpt = _model_checkpoint(model, lineage)
         ckpt.save(out_path)
         if cfg.patience is not None and bad_epochs > cfg.patience:
             break
     if best is not None:
         _load_params(model.named_parameters(), best[2])
-        ckpt = _model_checkpoint(model, opt, lineage)
+        ckpt = _model_checkpoint(model, lineage)
         ckpt.save(out_path)
     return ckpt, history
 
@@ -298,8 +298,7 @@ def pretrain_supernet(corpus, cfg, space, out_path, seed=0, task_factory=None):
     """Train a fresh supernet on the source corpus; emit its checkpoint."""
     factory = task_factory or default_task_factory
     task = factory(space, sub_seed(seed, "init"))
-    logits = ArchLogits(space, temperature=cfg.t_start, eta=cfg.eta,
-                        seed=sub_seed(seed, "gumbel"))
+    logits = ArchLogits(space, temperature=cfg.t_start, eta=cfg.eta)
     lineage = [_lineage_entry(cfg, seed)]
     return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
 
@@ -313,7 +312,7 @@ def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0, space=None, task_factory
         )
     factory = task_factory or default_task_factory
     task = factory(ckpt.space, sub_seed(seed, "init"), weights=ckpt.weights)
-    logits = logits_from_checkpoint(ckpt, eta=cfg.eta, seed=sub_seed(seed, "gumbel"))
+    logits = logits_from_checkpoint(ckpt, eta=cfg.eta)
     lineage = list(ckpt.lineage) + [_lineage_entry(cfg, seed)]
     return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .checkpoint import Checkpoint
 from .data import median_split
 from .pipeline import corpus_ter, model_from_checkpoint, run_recipe
-from .space import param_count
+from .space import DEC_GROUPS_SHARED, DEC_GROUPS_SPLIT, ENC_GROUPS, param_count
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -92,16 +92,11 @@ def arch_table(arch, space):
     one closest to the input, the last row the top block."""
     d = arch.to_json()
     lines = []
-    enc_groups = ["fd", "ah", "adim", "ck"]
-    lines.append("section  block  " + "".join(f"{g.upper():>6}" for g in enc_groups))
+    lines.append("section  block  " + "".join(f"{g.upper():>6}" for g in ENC_GROUPS))
     for b in range(space.encoder_blocks):
-        row = "".join(f"{d[f'enc.{b}.{g}']:6d}" for g in enc_groups)
+        row = "".join(f"{d[f'enc.{b}.{g}']:6d}" for g in ENC_GROUPS)
         lines.append(f"enc      {b:5d}  {row}")
-    dec_groups = (
-        ["fd", "ah_self", "adim_self", "ah_cross", "adim_cross"]
-        if space.split_decoder_attention
-        else ["fd", "ah", "adim"]
-    )
+    dec_groups = DEC_GROUPS_SPLIT if space.split_decoder_attention else DEC_GROUPS_SHARED
     lines.append("section  block  " + "".join(f"{g.upper():>11}" for g in dec_groups))
     for b in range(space.decoder_blocks):
         row = "".join(f"{d[f'dec.{b}.{g}']:11d}" for g in dec_groups)

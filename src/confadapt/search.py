@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import zero_all
-from .space import expected_param_count, DerivedArch
+from .space import expected_param_count, DerivedArch, _key_str
 from .tensor import Tensor, backward
 
 
@@ -46,9 +46,10 @@ class TempSchedule:
 
 
 class ArchLogits:
-    """One free logit vector per searchable group, plus sampling state."""
+    """One free logit vector per searchable group, plus the sampling
+    temperature and the size-penalty factor."""
 
-    def __init__(self, space, temperature=1.0, eta=0.0, seed=0):
+    def __init__(self, space, temperature=1.0, eta=0.0):
         if temperature <= 0:
             raise ValueError(f"ArchLogits: temperature must be positive, got {temperature}")
         if eta < 0:
@@ -56,7 +57,6 @@ class ArchLogits:
         self.space = space
         self.temperature = float(temperature)
         self.eta = float(eta)
-        self.rng = np.random.default_rng(seed)
         # zero logits: uniform prior over candidates
         self.groups = {
             key: Tensor(np.zeros(len(choices)), requires_grad=True)
@@ -64,7 +64,7 @@ class ArchLogits:
         }
 
     def named_parameters(self):
-        return {f"logits.{k[0]}.{k[1]}.{k[2]}": t for k, t in self.groups.items()}
+        return {f"logits.{_key_str(k)}": t for k, t in self.groups.items()}
 
 
 def sample_weights(logits, rng=None, temperature=None):
@@ -114,27 +114,26 @@ def extract(logits):
     return DerivedArch(choices)
 
 
-def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits,
-                     rng=None, temperature=None):
+def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits, rng):
     """One decoupled optimization step.
 
     First the shared weights take a gradient step on the training batch
     with freshly sampled mixing weights (logits not updated), then the
     logits take a step on the held-out batch through the penalized loss
-    (shared weights not updated). Returns both loss values.
+    (shared weights not updated). ``rng`` draws the Gumbel noise of both
+    samples. Returns both loss values.
     """
     if train_batch.size == 0 or heldout_batch.size == 0:
         raise ValueError("alternating_step: empty batch")
-    rng = logits.rng if rng is None else rng
 
     zero_all(task.named_parameters(), logits.groups)
-    lam = sample_weights(logits, rng=rng, temperature=temperature)
+    lam = sample_weights(logits, rng=rng)
     loss_w = task.batch_loss(train_batch, lam)
     backward(loss_w)
     opt_weights.step()
 
     zero_all(task.named_parameters(), logits.groups)
-    lam = sample_weights(logits, rng=rng, temperature=temperature)
+    lam = sample_weights(logits, rng=rng)
     loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
     backward(loss_l)
     opt_logits.step()

@@ -129,11 +129,6 @@ class Tensor:
             axes = tuple(axes[0])
         return transpose(self, axes)
 
-    def swapaxes(self, ax1, ax2):
-        axes = list(range(self.data.ndim))
-        axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
-        return transpose(self, tuple(axes))
-
 
 def as_tensor(x):
     if isinstance(x, Tensor):

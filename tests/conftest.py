@@ -117,9 +117,8 @@ def source_baseline(tmp_path_factory):
     model = supernet.materialize(DerivedArch.maximal(E2E_SPACE), init="fresh", seed=7)
     arch_ckpt = base / "init.ckpt"
     from confadapt.pipeline import _model_checkpoint, parameter_finetune
-    from confadapt.optim import Adam
 
-    _model_checkpoint(model, Adam(model.named_parameters()), []).save(arch_ckpt)
+    _model_checkpoint(model, []).save(arch_ckpt)
     cfg = StageConfig("train_src", "finetune", corpus="source", epochs=32, batch_size=8,
                       lr_weights=2e-3, patience=12, output="baseline")
     ckpt, history = parameter_finetune(

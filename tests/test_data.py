@@ -159,6 +159,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format_version"):
             Corpus.load(tmp_path / "corpus")
 
+    def test_truncated_or_oversized_feature_file_names_path(self, tmp_path):
+        c = generate(small_spec(), {"train": 1})
+        c.save(tmp_path / "corpus")
+        feats = next((tmp_path / "corpus" / "feats").iterdir())
+        blob = feats.read_bytes()
+        for cut in (2, 10, 23, 24, 30, len(blob) - 8, len(blob) - 1):
+            feats.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=feats.name):
+                Corpus.load(tmp_path / "corpus")
+        feats.write_bytes(blob + bytes(8))
+        with pytest.raises(ValueError, match=feats.name):
+            Corpus.load(tmp_path / "corpus")
+
 
 def _utt(uid, dur):
     return Utterance(uid, "d", "test", np.zeros((dur, 2)), np.array([3]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confadapt.checkpoint import Checkpoint, IncompatibleCheckpointError
+from confadapt.checkpoint import Checkpoint, IncompatibleCheckpointError, _read_sections
 from confadapt.data import default_domain_pair, generate
 from confadapt.pipeline import (
     RecipeError,
@@ -19,7 +19,7 @@ from confadapt.pipeline import (
     sub_seed,
 )
 from confadapt.search import extract
-from confadapt.space import ArchSpace
+from confadapt.space import ArchSpace, DerivedArch
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import Tensor
 
@@ -66,9 +66,14 @@ class TestCheckpointRoundTrip:
             assert (loaded.weights[name] == arr).all()
         for name, arr in ckpt.logits.items():
             assert (loaded.logits[name] == arr).all()
-        assert loaded.rng_state == ckpt.rng_state
-        assert loaded.opt_state["weights"]["t"] == ckpt.opt_state["weights"]["t"]
         assert loaded.lineage == ckpt.lineage
+        m_path = tmp_path / "m.ckpt"
+        derive_model(loaded, corpora["source"], cfg("d", "derive", epochs=0), m_path, seed=3)
+        # each file holds exactly the sections some loader reads
+        assert list(_read_sections(path.read_bytes(), path)) == [
+            "meta", "space", "weights", "logits", "lineage"]
+        assert list(_read_sections(m_path.read_bytes(), m_path)) == [
+            "meta", "space", "weights", "arch", "lineage"]
 
     def test_truncated_or_foreign_file_rejected(self, tmp_path):
         bad = tmp_path / "x.ckpt"
@@ -79,7 +84,8 @@ class TestCheckpointRoundTrip:
     def test_truncated_file_or_missing_section_names_path(self, tmp_path):
         weights = {n: p.data for n, p in ConformerSupernet(SPACE, seed=0).params.items()}
         good = tmp_path / "good.ckpt"
-        Checkpoint(kind="supernet", space=SPACE, weights=weights, lineage=[{"stage": "p"}]).save(good)
+        Checkpoint(kind="model", space=SPACE, weights=weights, arch=DerivedArch.minimal(SPACE),
+                   lineage=[{"stage": "p"}]).save(good)
         blob = good.read_bytes()
         bad = tmp_path / "bad.ckpt"
         for cut in (10, 20, 64, len(blob) // 2, len(blob) - 3, len(blob) - 1):
@@ -90,6 +96,17 @@ class TestCheckpointRoundTrip:
         bad.write_bytes(blob.replace(b"lineage", b"lineagX", 1))
         with pytest.raises(IncompatibleCheckpointError, match="missing sections.*lineage"):
             Checkpoint.load(bad)
+        # well-formed sections with malformed contents; each edit keeps the
+        # byte length, so only the JSON meaning changes
+        for old, new in ((b'"kind"', b'"kinX"'),               # meta without a kind
+                         (b'"model_dim"', b'"model_diX"'),     # unknown space field
+                         (b'[8, 16]', b'[16, 8]'),             # ff_choices out of order
+                         (b'"enc.0.ck": 3', b'"enc.0.ck": 4'), # kernel not in the space
+                         (b'"enc.0.fd"', b'"enc.0.fX"')):      # unknown arch group
+            assert blob.count(old) == 1
+            bad.write_bytes(blob.replace(old, new))
+            with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt"):
+                Checkpoint.load(bad)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

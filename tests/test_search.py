@@ -258,33 +258,34 @@ def _dummy_batch():
 
 class TestAlternatingStep:
     def _setup(self, lr_w=1e-2, lr_l=2e-2, eta=0.0):
-        logits = toy_logits(eta=eta, seed=9)
+        logits = toy_logits(eta=eta)
         task = TwoBranchTask(("enc", 0, "ck"), np.array([1.0, 2.0]))
-        return task, logits, Adam(task.named_parameters(), lr_w), Adam(logits.named_parameters(), lr_l)
+        return (task, logits, Adam(task.named_parameters(), lr_w),
+                Adam(logits.named_parameters(), lr_l), np.random.default_rng(9))
 
     def test_zero_logit_lr_keeps_logits_bitwise(self):
-        task, logits, ow, ol = self._setup(lr_l=0.0)
+        task, logits, ow, ol, rng = self._setup(lr_l=0.0)
         before = {k: v.data.copy() for k, v in logits.groups.items()}
-        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol)
+        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng=rng)
         for k, v in logits.groups.items():
             assert (v.data == before[k]).all()
 
     def test_weights_untouched_by_logit_step(self):
-        task, logits, ow, ol = self._setup(lr_w=0.0)
+        task, logits, ow, ol, rng = self._setup(lr_w=0.0)
         before = task.w.data.copy()
-        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol)
+        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng=rng)
         assert (task.w.data == before).all()
 
     def test_empty_batch_rejected(self):
-        task, logits, ow, ol = self._setup()
+        task, logits, ow, ol, rng = self._setup()
         with pytest.raises(ValueError, match="empty"):
-            alternating_step(SimpleNamespace(size=0), _dummy_batch(), task, logits, ow, ol)
+            alternating_step(SimpleNamespace(size=0), _dummy_batch(), task, logits, ow, ol, rng=rng)
 
     def test_two_branch_toy_drives_cheaper_branch(self):
         # branch with strictly lower held-out loss must win decisively
-        task, logits, ow, ol = self._setup(lr_l=2e-2)
+        task, logits, ow, ol, rng = self._setup(lr_l=2e-2)
         for _ in range(200):
-            alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol)
+            alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng=rng)
         lam = expected_weights(logits)[("enc", 0, "ck")].data
         assert lam[0] > 0.9
         # and the trainable weight moved toward its optimum

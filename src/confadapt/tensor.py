@@ -14,7 +14,8 @@ rules small and testable:
 
 Leaf tensors created with ``requires_grad=True`` hold a zero ``grad``
 buffer from the start, so a leaf that never contributes to a loss reads
-as all-zero gradient after backward.
+as all-zero gradient after backward. Op results start with ``grad`` None;
+their buffer is allocated when backward first accumulates into it.
 """
 
 from __future__ import annotations
@@ -138,12 +139,34 @@ def as_tensor(x):
 
 def _from_op(data, parents, backward_fn):
     parents = tuple(p for p in parents if isinstance(p, Tensor))
-    rg = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=rg)
-    if rg:
+    out = Tensor(data)
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
     return out
+
+
+def _accumulate(x, g):
+    """Add ``g`` into ``x.grad``, allocating the buffer on first use.
+
+    The new buffer takes the memory layout of ``x.data``, not that of
+    ``g`` (which may be a transposed view), so the products later
+    computed from it sum in an order that does not depend on how ``g``
+    was produced.
+    """
+    if x.grad is None:
+        x.grad = np.empty_like(x.data)
+        x.grad[...] = g
+    else:
+        x.grad += g
+
+
+def _grad_buffer(x):
+    """``x.grad`` for writers that add into part of it, zero-filled on first use."""
+    if x.grad is None:
+        x.grad = np.zeros_like(x.data)
+    return x.grad
 
 
 def backward(loss):
@@ -180,9 +203,7 @@ def backward(loss):
             if id(p) not in visited:
                 stack.append((p, False))
 
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += 1.0
+    _accumulate(loss, 1.0)
 
     for node in reversed(topo):
         fn = node._backward
@@ -223,9 +244,9 @@ def add(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _reduce_to(g, a.data.shape)
+            _accumulate(a, _reduce_to(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _reduce_to(g, b.data.shape)
+            _accumulate(b, _reduce_to(g, b.data.shape))
 
     return _from_op(data, (a, b), bw)
 
@@ -237,9 +258,9 @@ def sub(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _reduce_to(g, a.data.shape)
+            _accumulate(a, _reduce_to(g, a.data.shape))
         if b.requires_grad:
-            b.grad -= _reduce_to(g, b.data.shape)
+            _accumulate(b, -_reduce_to(g, b.data.shape))
 
     return _from_op(data, (a, b), bw)
 
@@ -251,9 +272,9 @@ def mul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            a.grad += _reduce_to(g * b.data, a.data.shape)
+            _accumulate(a, _reduce_to(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _reduce_to(g * a.data, b.data.shape)
+            _accumulate(b, _reduce_to(g * a.data, b.data.shape))
 
     return _from_op(data, (a, b), bw)
 
@@ -273,17 +294,17 @@ def matmul(a, b):
     def bw(g):
         if b.data.ndim == 2:
             if a.requires_grad:
-                a.grad += g @ b.data.T
+                _accumulate(a, g @ b.data.T)
             if b.requires_grad:
                 if a.data.ndim == 1:
-                    b.grad += np.outer(a.data, g)
+                    _accumulate(b, np.outer(a.data, g))
                 else:
-                    b.grad += a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1])
+                    _accumulate(b, a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
         else:
             if a.requires_grad:
-                a.grad += g @ np.swapaxes(b.data, -1, -2)
+                _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
             if b.requires_grad:
-                b.grad += np.swapaxes(a.data, -1, -2) @ g
+                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _from_op(data, (a, b), bw)
 
@@ -309,7 +330,7 @@ def tensor_slice(x, key):
 
     def bw(g):
         if x.requires_grad:
-            x.grad[key] += g
+            _grad_buffer(x)[key] += g
 
     return _from_op(data, (x,), bw)
 
@@ -321,7 +342,7 @@ def reshape(x, shape):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += g.reshape(old)
+            _accumulate(x, g.reshape(old))
 
     return _from_op(data, (x,), bw)
 
@@ -335,7 +356,7 @@ def transpose(x, axes):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += np.transpose(g, inv)
+            _accumulate(x, np.transpose(g, inv))
 
     return _from_op(data, (x,), bw)
 
@@ -358,7 +379,7 @@ def concat(tensors, axis=0):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(ofs, ofs + n)
             if t.requires_grad:
-                t.grad += g[tuple(sl)]
+                _accumulate(t, g[tuple(sl)])
             ofs += n
 
     return _from_op(data, tensors, bw)
@@ -378,7 +399,7 @@ def tensor_sum(x, axis=None, keepdims=False):
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            x.grad += np.broadcast_to(gg, x.data.shape)
+            _accumulate(x, np.broadcast_to(gg, x.data.shape))
 
     return _from_op(data, (x,), bw)
 
@@ -393,7 +414,7 @@ def tensor_mean(x, axis=None, keepdims=False):
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            x.grad += np.broadcast_to(gg, x.data.shape) / scale
+            _accumulate(x, np.broadcast_to(gg, x.data.shape) / scale)
 
     return _from_op(data, (x,), bw)
 
@@ -409,7 +430,7 @@ def sigmoid(x):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += g * data * (1.0 - data)
+            _accumulate(x, g * data * (1.0 - data))
 
     return _from_op(data, (x,), bw)
 
@@ -421,7 +442,7 @@ def swish(x):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += g * (s + x.data * s * (1.0 - s))
+            _accumulate(x, g * (s + x.data * s * (1.0 - s)))
 
     return _from_op(data, (x,), bw)
 
@@ -444,8 +465,9 @@ def glu(x, axis=-1):
 
     def bw(g):
         if x.requires_grad:
-            x.grad[sl_a] += g * s
-            x.grad[sl_b] += g * a * s * (1.0 - s)
+            gx = _grad_buffer(x)
+            gx[sl_a] += g * s
+            gx[sl_b] += g * a * s * (1.0 - s)
 
     return _from_op(data, (x,), bw)
 
@@ -458,7 +480,7 @@ def softmax(x, axis=-1):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += (g - (g * data).sum(axis=axis, keepdims=True)) * data
+            _accumulate(x, (g - (g * data).sum(axis=axis, keepdims=True)) * data)
 
     return _from_op(data, (x,), bw)
 
@@ -471,7 +493,7 @@ def log_softmax(x, axis=-1):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += g - np.exp(data) * g.sum(axis=axis, keepdims=True)
+            _accumulate(x, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
     return _from_op(data, (x,), bw)
 
@@ -484,7 +506,7 @@ def logsumexp(x, axis=-1):
     def bw(g):
         if x.requires_grad:
             ge = np.expand_dims(g, axis)
-            x.grad += np.exp(x.data - np.expand_dims(data, axis)) * ge
+            _accumulate(x, np.exp(x.data - np.expand_dims(data, axis)) * ge)
 
     return _from_op(data, (x,), bw)
 
@@ -507,16 +529,16 @@ def layer_norm(x, gain, bias, eps=1e-6):
 
     def bw(g):
         if gain.requires_grad:
-            gain.grad += (g * xhat).reshape(-1, d).sum(axis=0)
+            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            bias.grad += g.reshape(-1, d).sum(axis=0)
+            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxh = g * gain.data
-            x.grad += (
+            _accumulate(x, (
                 dxh
                 - dxh.mean(axis=-1, keepdims=True)
                 - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-            ) * inv
+            ) * inv)
 
     return _from_op(data, (x, gain, bias), bw)
 
@@ -561,15 +583,16 @@ def depthwise_conv1d(x, kernel, bias=None):
 
     def bw(g):
         if kernel.requires_grad:
+            gk = _grad_buffer(kernel)
             for j in range(k):
-                kernel.grad[j] += (xp[:, j:j + t, :] * g).sum(axis=(0, 1))
+                gk[j] += (xp[:, j:j + t, :] * g).sum(axis=(0, 1))
         if x.requires_grad:
             gp = np.zeros_like(xp)
             for j in range(k):
                 gp[:, j:j + t, :] += g * kernel.data[j]
-            x.grad += gp[:, p:p + t, :]
+            _accumulate(x, gp[:, p:p + t, :])
         if bias is not None and bias.requires_grad:
-            bias.grad += g.sum(axis=(0, 1))
+            _accumulate(bias, g.sum(axis=(0, 1)))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _from_op(data, parents, bw)
@@ -591,7 +614,7 @@ def embedding(table, ids):
 
     def bw(g):
         if table.requires_grad:
-            np.add.at(table.grad, ids, g)
+            np.add.at(_grad_buffer(table), ids, g)
 
     return _from_op(data, (table,), bw)
 
@@ -604,6 +627,6 @@ def masked_fill(x, mask, value):
 
     def bw(g):
         if x.requires_grad:
-            x.grad += np.where(mask, 0.0, g)
+            _accumulate(x, np.where(mask, 0.0, g))
 
     return _from_op(data, (x,), bw)

@@ -108,6 +108,17 @@ class TestBackwardBasics:
         np.testing.assert_allclose(y.grad, [0.0])
         np.testing.assert_allclose(x.grad, [3.0])
 
+    def test_op_results_allocate_grad_on_first_use(self):
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        y = x.transpose(1, 0)
+        z = y * 2.0
+        assert x.grad.shape == (3, 2) and (x.grad == 0).all()
+        assert y.grad is None and z.grad is None
+        backward(z.sum())
+        np.testing.assert_allclose(x.grad, np.full((3, 2), 2.0))
+        # the buffer follows the layout of the op result, not of the incoming grad
+        assert y.grad.strides == y.data.strides
+
     def test_slice_backward_scatters_only_into_region(self):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         backward((x[1:3, 2:] * 2.0).sum())

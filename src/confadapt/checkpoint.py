@@ -25,7 +25,8 @@ sections are ignored.
 Writes are atomic (temp file then rename). Loading a truncated or
 corrupt file, one without the ``meta``, ``space``, ``weights`` and
 ``lineage`` sections, or one whose sections hold malformed contents
-(such as an ``arch`` that does not fit its ``space``) raises
+(such as an ``arch`` that does not fit its ``space``, or a logits group
+whose length differs from its number of choices) raises
 ``IncompatibleCheckpointError`` naming the path.
 """
 
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .space import ArchSpace, DerivedArch
+from .space import ArchSpace, DerivedArch, _key_str
 
 MAGIC = b"CFADCKPT"
 VERSION = 1
@@ -129,6 +130,13 @@ def _from_sections(sections):
         ck.arch.validate(ck.space)
     if "logits" in sections:
         ck.logits_meta, ck.logits = sections["logits"]
+        for key, choices in ck.space.groups():
+            vec = ck.logits.get(_key_str(key))
+            if vec is not None and vec.shape != (len(choices),):
+                raise ValueError(
+                    f"logits group {_key_str(key)} has shape {vec.shape}, "
+                    f"expected {(len(choices),)}"
+                )
     ck.lineage, _ = sections["lineage"]
     return ck
 

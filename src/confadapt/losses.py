@@ -19,8 +19,6 @@ SOS_ID = 1
 EOS_ID = 2
 FIRST_TOKEN_ID = 3
 
-LOG_ZERO = -1.0e30
-
 
 class InfeasibleAlignmentError(ValueError):
     """Reference is too long for the available frames under CTC rules."""
@@ -52,55 +50,96 @@ def ctc_min_frames(reference):
     return len(ids) + repeats
 
 
-def ctc_loss(log_probs, reference):
-    """Negative log probability summed over all CTC alignments.
+def ctc_loss(log_probs, frame_lens, references):
+    """Per-utterance negative log probability summed over all CTC alignments.
 
-    ``log_probs`` is a (frames, vocab) tensor of per-frame log scores
-    (normalized in normal use; the DP itself does not require it).
+    ``log_probs`` is a padded (batch, frames, vocab) tensor of per-frame
+    log scores (normalized in normal use; the recursion does not require
+    it). Utterance ``b`` aligns ``references[b]`` to its first
+    ``frame_lens[b]`` frames. Returns a (batch,) tensor recorded as one op.
+
+    The forward runs the log-space alpha recursion over the whole batch,
+    one step per frame. The backward runs the matching beta recursion and
+    applies the closed-form occupancy gradient (Graves et al., ICML 2006):
+    d loss_b / d log_probs[b, t, k] is minus the sum, over extended label
+    positions s holding k, of exp(alpha_t(s) + beta_t(s) - emit_t(s) - log Z_b),
+    where alpha and beta both include the emission at t. Padded frames and
+    padded label slots get exactly zero gradient, and a non-finite score in
+    one utterance stays in that utterance's loss and gradient.
     """
-    if log_probs.ndim != 2:
-        raise ShapeError(f"ctc_loss: log_probs must be (frames, vocab), got {log_probs.shape}")
-    frames, vocab = log_probs.shape
-    ids = _ref_ids(reference)
-    if any(i >= vocab for i in ids):
-        raise ValueError(f"ctc_loss: reference id out of vocabulary ({vocab})")
-    if frames < ctc_min_frames(ids):
-        raise InfeasibleAlignmentError(
-            f"ctc_loss: {frames} frames cannot align a reference of length {len(ids)} "
-            f"(minimum {ctc_min_frames(ids)})"
+    log_probs = T.as_tensor(log_probs)
+    if log_probs.ndim != 3:
+        raise ShapeError(
+            f"ctc_loss: log_probs must be (batch, frames, vocab), got {log_probs.shape}"
         )
+    batch, frames, vocab = log_probs.shape
+    lens = np.asarray(frame_lens, dtype=np.int64)
+    if lens.shape != (batch,) or len(references) != batch:
+        raise ShapeError(
+            f"ctc_loss: {batch} utterances, frame lengths of shape {lens.shape} "
+            f"and {len(references)} references"
+        )
+    if ((lens < 1) | (lens > frames)).any():
+        raise ShapeError(f"ctc_loss: frame lengths {lens.tolist()} outside [1, {frames}]")
+    refs = [_ref_ids(r) for r in references]
+    for n, ids in zip(lens, refs):
+        if any(not 0 <= i < vocab for i in ids):
+            raise ValueError(f"ctc_loss: reference id out of vocabulary ({vocab})")
+        if n < ctc_min_frames(ids):
+            raise InfeasibleAlignmentError(
+                f"ctc_loss: {n} frames cannot align a reference of length {len(ids)} "
+                f"(minimum {ctc_min_frames(ids)})"
+            )
 
-    # blank-extended label sequence: blank, y1, blank, y2, ..., blank
-    ext = [BLANK_ID]
-    for i in ids:
-        ext.extend((i, BLANK_ID))
-    s_len = len(ext)
+    # blank-extended labels (blank, y1, blank, ..., blank), blank-padded
+    # to the longest; ``live`` marks the real (frame, position) cells
+    s_lens = np.array([2 * len(ids) + 1 for ids in refs], dtype=np.int64)
+    s_max = int(s_lens.max())
+    ext = np.full((batch, s_max), BLANK_ID, dtype=np.int64)
+    for b, ids in enumerate(refs):
+        ext[b, 1:2 * len(ids):2] = ids
+    pos = np.arange(s_max)
+    valid = pos < s_lens[:, None]
+    live = valid[:, None, :] & (np.arange(frames)[:, None] < lens[:, None, None])
+    # the skip s-2 -> s is legal only into a label that differs from ext[s-2]
+    skip = np.zeros((batch, s_max), dtype=bool)
+    skip[:, 2:] = (ext[:, 2:] != BLANK_ID) & (ext[:, 2:] != ext[:, :-2])
+    emit = np.take_along_axis(
+        log_probs.data, np.broadcast_to(ext[:, None, :], (batch, frames, s_max)), axis=2)
+    # padded scores, finite or not, never enter alpha, beta or the gradient
+    emit = np.where(live, emit, 0.0)
 
-    # gather per-frame emission scores for the extended labels in one matmul
-    onehot = np.zeros((vocab, s_len))
-    onehot[ext, np.arange(s_len)] = 1.0
-    emit = log_probs @ Tensor(onehot)  # (frames, s_len)
-
-    init_mask = np.arange(s_len) >= 2
-    alpha = T.masked_fill(emit[0], init_mask, LOG_ZERO)
-
-    lz1 = Tensor([LOG_ZERO])
-    lz2 = Tensor([LOG_ZERO, LOG_ZERO])
-    # skip transition s-2 -> s is illegal into blanks and into repeated labels
-    no_skip = np.array(
-        [ext[s] == BLANK_ID or (s >= 2 and ext[s] == ext[s - 2]) for s in range(s_len)]
-    )
+    # alpha[:, t, 2 + s]; the two leading -inf columns stand for s-1 and s-2 at s < 2
+    alpha = np.full((batch, frames, s_max + 2), -np.inf)
+    alpha[:, 0, 2:] = np.where(live[:, 0] & (pos < 2), emit[:, 0], -np.inf)
     for t in range(1, frames):
-        cands = [alpha, T.concat([lz1, alpha[: s_len - 1]])]
-        if s_len > 2:
-            cands.append(T.masked_fill(T.concat([lz2, alpha[: s_len - 2]]), no_skip, LOG_ZERO))
-        alpha = T.logsumexp(T.stack(cands, axis=0), axis=0) + emit[t]
+        prev = alpha[:, t - 1]
+        a = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
+        a = np.logaddexp(a, np.where(skip, prev[:, :-2], -np.inf))
+        alpha[:, t, 2:] = np.where(live[:, t], a + emit[:, t], -np.inf)
+    rows = np.arange(batch)
+    last = alpha[rows, lens - 1, 2:]
+    log_z = np.logaddexp(last[rows, s_lens - 1],
+                         np.where(s_lens > 1, last[rows, s_lens - 2], -np.inf))
 
-    if s_len > 1:
-        total = T.logsumexp(alpha[s_len - 2:], axis=0)
-    else:
-        total = alpha[0]
-    return -total
+    def bw(g):
+        # beta[:, t, s]; the two trailing -inf columns stand for s+1 and s+2 past the end
+        beta = np.full((batch, frames + 1, s_max + 2), -np.inf)
+        skip_from = np.zeros_like(skip)
+        skip_from[:, :-2] = skip[:, 2:]
+        ends = valid & (pos >= s_lens[:, None] - 2)
+        for t in range(frames - 1, -1, -1):
+            nxt = beta[:, t + 1]
+            r = np.logaddexp(nxt[:, :-2], nxt[:, 1:-1])
+            r = np.logaddexp(r, np.where(skip_from, nxt[:, 2:], -np.inf))
+            r = np.where((t == lens - 1)[:, None], np.where(ends, 0.0, -np.inf), r)
+            beta[:, t, :-2] = np.where(live[:, t], r + emit[:, t], -np.inf)
+        occ = np.exp(alpha[:, :, 2:] + beta[:, :frames, :-2] - emit - log_z[:, None, None])
+        onehot = np.zeros((batch, s_max, vocab))
+        onehot[rows[:, None], pos, ext] = valid
+        T._accumulate(log_probs, (occ @ onehot) * -g[:, None, None])
+
+    return T._from_op(-log_z, (log_probs,), bw)
 
 
 def attention_ce_loss(decoder_logits, reference, smoothing=0.1):
@@ -143,17 +182,18 @@ def hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs,
                       ctc_weight=0.3, smoothing=0.1):
     """Mean hybrid loss over a padded batch.
 
-    Per utterance the CTC scores are sliced to the true encoder length and
-    the decoder logits to the true token count plus the EOS position.
+    CTC runs once over the padded batch with the true encoder lengths; per
+    utterance the decoder logits are sliced to the true token count plus
+    the EOS position.
     """
     if len(token_seqs) == 0:
         raise ValueError("hybrid_batch_loss: empty batch")
+    ctc = ctc_loss(ctc_logprobs, enc_lens, token_seqs)
     total = None
     for i, ref in enumerate(token_seqs):
         ids = _ref_ids(ref)
-        c = ctc_loss(ctc_logprobs[i, : int(enc_lens[i])], ids)
         a = attention_ce_loss(dec_logits[i, : len(ids) + 1], ids, smoothing=smoothing)
-        h = hybrid_loss(c, a, ctc_weight)
+        h = hybrid_loss(ctc[i], a, ctc_weight)
         total = h if total is None else total + h
     return total / len(token_seqs)
 

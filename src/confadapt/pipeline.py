@@ -167,12 +167,11 @@ def corpus_ter(model, utterances, max_len=None):
 # ---------------------------------------------------------------------
 
 
-def _check_finite(value, stage, epoch):
-    if not np.isfinite(value):
-        raise TrainingDivergedError(
-            f"stage {stage!r} diverged at epoch {epoch} (non-finite loss); "
-            f"last good checkpoint retained"
-        )
+def _diverged(stage, epoch):
+    return TrainingDivergedError(
+        f"stage {stage!r} diverged at epoch {epoch} (non-finite loss); "
+        f"last good checkpoint retained"
+    )
 
 
 def _supernet_checkpoint(task, logits, lineage):
@@ -206,9 +205,10 @@ def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
         count = 0
         for i, tb in enumerate(iter_batches(train, cfg.batch_size, rng)):
             hb = held_batches[i % len(held_batches)]
-            lw, ll = alternating_step(tb, hb, task, logits, opt_w, opt_l, rng=rng)
-            _check_finite(lw, cfg.name, epoch)
-            _check_finite(ll, cfg.name, epoch)
+            try:
+                lw, ll = alternating_step(tb, hb, task, logits, opt_w, opt_l, rng=rng)
+            except FloatingPointError as exc:
+                raise _diverged(cfg.name, epoch) from exc
             sums += (lw, ll)
             count += 1
         history.append({
@@ -257,7 +257,8 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
                 ctc_weight=CTC_WEIGHT, smoothing=LABEL_SMOOTHING,
             )
             backward(loss)
-            _check_finite(loss.item(), cfg.name, epoch)
+            if not np.isfinite(loss.item()):
+                raise _diverged(cfg.name, epoch)
             opt.step()
             total += loss.item()
             count += 1

@@ -114,6 +114,11 @@ def extract(logits):
     return DerivedArch(choices)
 
 
+def _require_finite(loss, which):
+    if not np.isfinite(loss.item()):
+        raise FloatingPointError(f"alternating_step: non-finite {which} loss")
+
+
 def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits, rng):
     """One decoupled optimization step.
 
@@ -122,6 +127,10 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
     logits take a step on the held-out batch through the penalized loss
     (shared weights not updated). ``rng`` draws the Gumbel noise of both
     samples. Returns both loss values.
+
+    Each loss is checked before its backward pass: a non-finite one raises
+    ``FloatingPointError`` and its optimizer does not step, so a poisoned
+    batch leaves the parameters it would have updated as they were.
     """
     if train_batch.size == 0 or heldout_batch.size == 0:
         raise ValueError("alternating_step: empty batch")
@@ -129,12 +138,14 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
     zero_all(task.named_parameters(), logits.groups)
     lam = sample_weights(logits, rng=rng)
     loss_w = task.batch_loss(train_batch, lam)
+    _require_finite(loss_w, "training")
     backward(loss_w)
     opt_weights.step()
 
     zero_all(task.named_parameters(), logits.groups)
     lam = sample_weights(logits, rng=rng)
     loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
+    _require_finite(loss_l, "held-out")
     backward(loss_l)
     opt_logits.step()
 

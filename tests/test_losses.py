@@ -14,11 +14,12 @@ from confadapt.losses import (
     TokenSeq,
     attention_ce_loss,
     ctc_loss,
+    ctc_min_frames,
     edit_distance,
     hybrid_loss,
     token_error_rate,
 )
-from confadapt.tensor import Tensor, backward
+from confadapt.tensor import ShapeError, Tensor, backward
 
 from util_grad import check_grads
 
@@ -49,6 +50,47 @@ def ctc_bruteforce(log_probs, ref):
     return -(m + math.log(sum(math.exp(s - m) for s in scores)))
 
 
+LOG_ZERO = -1.0e30
+
+
+def tape_ctc_loss(log_probs, reference):
+    """CTC of one feasible utterance with the alpha recursion unrolled frame
+    by frame on the tape, so its gradient comes from the generic op rules."""
+    frames, vocab = log_probs.shape
+    ext = [BLANK_ID]
+    for i in reference:
+        ext.extend((i, BLANK_ID))
+    s_len = len(ext)
+    onehot = np.zeros((vocab, s_len))
+    onehot[ext, np.arange(s_len)] = 1.0
+    emit = log_probs @ Tensor(onehot)  # (frames, s_len)
+
+    alpha = T.masked_fill(emit[0], np.arange(s_len) >= 2, LOG_ZERO)
+    lz1 = Tensor([LOG_ZERO])
+    lz2 = Tensor([LOG_ZERO, LOG_ZERO])
+    no_skip = np.array(
+        [ext[s] == BLANK_ID or (s >= 2 and ext[s] == ext[s - 2]) for s in range(s_len)]
+    )
+    for t in range(1, frames):
+        cands = [alpha, T.concat([lz1, alpha[: s_len - 1]])]
+        if s_len > 2:
+            cands.append(T.masked_fill(T.concat([lz2, alpha[: s_len - 2]]), no_skip, LOG_ZERO))
+        alpha = T.logsumexp(T.stack(cands, axis=0), axis=0) + emit[t]
+
+    if s_len > 1:
+        total = T.logsumexp(alpha[s_len - 2:], axis=0)
+    else:
+        total = alpha[0]
+    return -total
+
+
+def ctc_single(x, ref):
+    """The batched CTC op on one utterance that fills its (frames, vocab) scores."""
+    x = T.as_tensor(x)
+    frames, vocab = x.shape
+    return ctc_loss(x.reshape(1, frames, vocab), [frames], [ref])[0]
+
+
 def rand_logprobs(frames, vocab):
     x = rng.normal(size=(frames, vocab)) * 2.0
     return x - np.log(np.exp(x).sum(-1, keepdims=True))
@@ -57,17 +99,17 @@ def rand_logprobs(frames, vocab):
 class TestCTC:
     def test_single_frame_single_token(self):
         lp = np.log(np.full((1, 3), 1 / 3))
-        loss = ctc_loss(Tensor(lp), [1])
+        loss = ctc_single(Tensor(lp), [1])
         np.testing.assert_allclose(loss.item(), -math.log(1 / 3), atol=1e-12)
 
     def test_empty_reference_all_blank(self):
         lp = rand_logprobs(4, 3)
-        loss = ctc_loss(Tensor(lp), [])
+        loss = ctc_single(Tensor(lp), [])
         np.testing.assert_allclose(loss.item(), -lp[:, BLANK_ID].sum(), atol=1e-10)
 
     def test_three_frames_two_tokens_vs_enumeration(self):
         lp = rand_logprobs(3, 3)
-        loss = ctc_loss(Tensor(lp), [1, 2])
+        loss = ctc_single(Tensor(lp), [1, 2])
         np.testing.assert_allclose(loss.item(), ctc_bruteforce(lp, (1, 2)), atol=1e-10)
 
     def test_exhaustive_small_instances(self):
@@ -79,27 +121,121 @@ class TestCTC:
                     expect = ctc_bruteforce(lp, ref)
                     if expect is None:
                         with pytest.raises(InfeasibleAlignmentError):
-                            ctc_loss(Tensor(lp), ref)
+                            ctc_single(Tensor(lp), ref)
                     else:
-                        got = ctc_loss(Tensor(lp), ref).item()
+                        got = ctc_single(Tensor(lp), ref).item()
                         np.testing.assert_allclose(got, expect, atol=1e-8)
 
     def test_infeasible_raises(self):
         lp = rand_logprobs(2, 3)
         with pytest.raises(InfeasibleAlignmentError, match="frames"):
-            ctc_loss(Tensor(lp), [1, 1])  # repeat needs 3 frames
+            ctc_single(Tensor(lp), [1, 1])  # repeat needs 3 frames
 
     def test_blank_in_reference_rejected(self):
         with pytest.raises(ValueError, match="blank"):
-            ctc_loss(Tensor(rand_logprobs(4, 3)), [1, BLANK_ID])
+            ctc_single(Tensor(rand_logprobs(4, 3)), [1, BLANK_ID])
 
     def test_gradient_matches_finite_differences(self):
         lp = rand_logprobs(4, 3)
-        check_grads(lambda x: ctc_loss(x, [1, 2]), [lp])
+        check_grads(lambda x: ctc_single(x, [1, 2]), [lp])
 
     def test_gradient_longer_case(self):
         lp = rand_logprobs(7, 4)
-        check_grads(lambda x: ctc_loss(x, [2, 3, 2]), [lp])
+        check_grads(lambda x: ctc_single(x, [2, 3, 2]), [lp])
+
+
+def rand_padded_batch(case_rng, batch, frames, vocab):
+    """Normalized scores, padded frames included, plus references and frame
+    lengths that mix empty, length-1, repeated and minimum-frame cases."""
+    x = case_rng.normal(size=(batch, frames, vocab)) * 2.0
+    lp = x - np.log(np.exp(x).sum(-1, keepdims=True))
+    refs, lens = [], []
+    for _ in range(batch):
+        ref = case_rng.integers(1, vocab, size=case_rng.integers(0, frames + 1)).tolist()
+        while ctc_min_frames(ref) > frames:
+            ref.pop()
+        low = max(ctc_min_frames(ref), 1)
+        n = low if case_rng.random() < 0.3 else int(case_rng.integers(low, frames + 1))
+        refs.append(ref)
+        lens.append(n)
+    return lp, lens, refs
+
+
+class TestFusedCTC:
+    @pytest.mark.filterwarnings("error")
+    def test_matches_tape_oracle_on_random_padded_batches(self):
+        case_rng = np.random.default_rng(2006)
+        seen = {"empty": 0, "single": 0, "repeat": 0, "min_frames": 0, "mixed_lens": 0}
+        worst_loss = worst_grad = 0.0
+        for _ in range(240):
+            batch = int(case_rng.integers(1, 5))
+            vocab = int(case_rng.integers(3, 7))
+            frames = int(case_rng.integers(1, 12))
+            lp, lens, refs = rand_padded_batch(case_rng, batch, frames, vocab)
+            upstream = case_rng.normal(size=batch)
+
+            x = Tensor(lp, requires_grad=True)
+            loss = ctc_loss(x, lens, refs)
+            backward((loss * Tensor(upstream)).sum())
+            for b, (n, ref) in enumerate(zip(lens, refs)):
+                xb = Tensor(lp[b, :n], requires_grad=True)
+                expect = tape_ctc_loss(xb, ref)
+                backward(expect * upstream[b])
+                worst_loss = max(worst_loss, abs(loss.data[b] - expect.item()))
+                worst_grad = max(worst_grad, np.abs(x.grad[b, :n] - xb.grad).max())
+                assert (x.grad[b, n:] == 0).all()
+                seen["empty"] += not ref
+                seen["single"] += len(ref) == 1
+                seen["repeat"] += any(a == c for a, c in zip(ref, ref[1:]))
+                seen["min_frames"] += bool(ref) and n == ctc_min_frames(ref)
+            seen["mixed_lens"] += len(set(lens)) > 1
+        assert worst_loss < 1e-10 and worst_grad < 1e-10, (worst_loss, worst_grad)
+        assert min(seen.values()) >= 20, seen
+
+    def test_gradient_matches_finite_differences_on_padded_batch(self):
+        case_rng = np.random.default_rng(3)
+        lp, _, _ = rand_padded_batch(case_rng, 3, 6, 4)
+        weights = Tensor([0.7, -1.3, 0.4])
+        check_grads(lambda x: (ctc_loss(x, [6, 4, 2], [[1, 2, 2], [3], []]) * weights).sum(),
+                    [lp])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_stays_in_its_utterance(self):
+        lp, _, _ = rand_padded_batch(np.random.default_rng(5), 3, 6, 4)
+        lens, refs = [6, 5, 3], [[1, 2], [2, 3], [1]]
+
+        def run(scores):
+            x = Tensor(scores, requires_grad=True)
+            loss = ctc_loss(x, lens, refs)
+            backward(loss.sum())
+            return loss.data, x.grad
+
+        clean_loss, clean_grad = run(lp)
+        poisoned = lp.copy()
+        poisoned[1, 2, 2] = np.nan   # a score utterance 1 reads
+        poisoned[2, 4, 0] = np.nan   # a padded frame of utterance 2
+        loss, grad = run(poisoned)
+        assert np.isnan(loss[1]) and np.isnan(grad[1]).any()
+        for b in (0, 2):
+            assert loss[b] == clean_loss[b]
+            assert (grad[b] == clean_grad[b]).all()
+        assert (grad[2, 3:] == 0).all()
+
+    def test_batch_shape_length_and_vocabulary_errors(self):
+        lp = Tensor(rand_logprobs(4, 3).reshape(1, 4, 3))
+        with pytest.raises(ShapeError, match="batch, frames, vocab"):
+            ctc_loss(Tensor(rand_logprobs(4, 3)), [4], [[1]])
+        with pytest.raises(ShapeError, match="references"):
+            ctc_loss(lp, [4], [[1], [2]])
+        with pytest.raises(ShapeError, match="references"):
+            ctc_loss(lp, [4, 4], [[1]])
+        for n in (0, 5):
+            with pytest.raises(ShapeError, match=r"outside \[1, 4\]"):
+                ctc_loss(lp, [n], [[1]])
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            ctc_loss(lp, [4], [[3]])
+        with pytest.raises(InfeasibleAlignmentError, match="2 frames cannot align"):
+            ctc_loss(lp, [2], [[1, 1]])
 
 
 class TestAttentionCE:
@@ -203,6 +339,6 @@ class TestTER:
 class TestCTCGradOnTape:
     def test_loss_flows_to_logits_through_log_softmax(self):
         raw = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        loss = ctc_loss(T.log_softmax(raw, axis=-1), [3, 1])
+        loss = ctc_single(T.log_softmax(raw, axis=-1), [3, 1])
         backward(loss)
         assert np.abs(raw.grad).max() > 0

@@ -107,6 +107,14 @@ class TestCheckpointRoundTrip:
             bad.write_bytes(blob.replace(old, new))
             with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt"):
                 Checkpoint.load(bad)
+        # a logits group with fewer or more entries than its choices
+        logits = {f"{k[0]}.{k[1]}.{k[2]}": np.zeros(len(c)) for k, c in SPACE.groups()}
+        for length in (1, 3):
+            wrong = dict(logits, **{"enc.0.fd": np.full(length, 2.5)})
+            Checkpoint(kind="supernet", space=SPACE, weights=weights, logits=wrong,
+                       logits_meta={"temperature": 1.0}).save(bad)
+            with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt.*enc.0.fd"):
+                Checkpoint.load(bad)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

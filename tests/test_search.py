@@ -281,6 +281,32 @@ class TestAlternatingStep:
         with pytest.raises(ValueError, match="empty"):
             alternating_step(SimpleNamespace(size=0), _dummy_batch(), task, logits, ow, ol, rng=rng)
 
+    def test_non_finite_loss_raises_before_its_step(self):
+        class ScaledTask(TwoBranchTask):
+            def batch_loss(self, batch, lam):
+                return super().batch_loss(batch, lam) * batch.scale
+
+        task = ScaledTask(("enc", 0, "ck"), np.array([1.0, 2.0]))
+        logits = toy_logits()
+        ow, ol = Adam(task.named_parameters(), 1e-2), Adam(logits.named_parameters(), 2e-2)
+        rng = np.random.default_rng(9)
+        good, poisoned = SimpleNamespace(size=1, scale=1.0), SimpleNamespace(size=1, scale=np.nan)
+        alternating_step(good, good, task, logits, ow, ol, rng=rng)
+        w_before = task.w.data.copy()
+        l_before = {k: v.data.copy() for k, v in logits.groups.items()}
+        with pytest.raises(FloatingPointError, match="training"):
+            alternating_step(poisoned, good, task, logits, ow, ol, rng=rng)
+        assert task.w.data.tobytes() == w_before.tobytes()
+        for k, v in logits.groups.items():
+            assert v.data.tobytes() == l_before[k].tobytes()
+        # a poisoned held-out batch stops the logit step; the weight step
+        # on the clean training batch has already been taken
+        with pytest.raises(FloatingPointError, match="held-out"):
+            alternating_step(good, poisoned, task, logits, ow, ol, rng=rng)
+        assert np.isfinite(task.w.data).all()
+        for k, v in logits.groups.items():
+            assert v.data.tobytes() == l_before[k].tobytes()
+
     def test_two_branch_toy_drives_cheaper_branch(self):
         # branch with strictly lower held-out loss must win decisively
         task, logits, ow, ol, rng = self._setup(lr_l=2e-2)

@@ -178,8 +178,7 @@ def hybrid_loss(ctc, aed, weight=0.3):
     return ctc * w + aed * (1.0 - w)
 
 
-def hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs,
-                      ctc_weight=0.3, smoothing=0.1):
+def hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs):
     """Mean hybrid loss over a padded batch.
 
     CTC runs once over the padded batch with the true encoder lengths; per
@@ -192,27 +191,26 @@ def hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs,
     total = None
     for i, ref in enumerate(token_seqs):
         ids = _ref_ids(ref)
-        a = attention_ce_loss(dec_logits[i, : len(ids) + 1], ids, smoothing=smoothing)
-        h = hybrid_loss(ctc[i], a, ctc_weight)
+        a = attention_ce_loss(dec_logits[i, : len(ids) + 1], ids)
+        h = hybrid_loss(ctc[i], a)
         total = h if total is None else total + h
     return total / len(token_seqs)
 
 
-def greedy_decode(model, features, max_len=None):
+def greedy_decode(model, features):
     """Greedy attention decoding of a single utterance.
 
     ``model`` must expose ``forward_encoder(features, lens)`` returning
     (enc, enc_lens, ctc_logprobs) and ``forward_decoder(enc, enc_lens,
     tokens_in)`` returning logits. Stops at the end sentinel; if the cap
-    is hit first the hypothesis is flagged truncated.
+    of ``2 * enc_len + 10`` tokens is hit first the hypothesis is flagged
+    truncated.
     """
     feats = np.asarray(features, dtype=np.float64)
     with no_grad():
         enc, enc_lens, _ = model.forward_encoder(feats[None], np.array([feats.shape[0]]))
-        if max_len is None:
-            max_len = int(enc_lens[0]) * 2 + 10
         prefix = [SOS_ID]
-        for _ in range(max_len):
+        for _ in range(int(enc_lens[0]) * 2 + 10):
             logits = model.forward_decoder(enc, enc_lens, np.array([prefix]))
             nxt = int(np.argmax(logits.data[0, -1]))
             if nxt == EOS_ID:

@@ -4,32 +4,40 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
 
     def step(self):
-        """Apply one update from accumulated grads, then clear them."""
+        """Apply one update from accumulated grads, then clear them.
+
+        A non-finite gradient raises ``FloatingPointError`` before any
+        moment or weight is touched, so the step leaves no trace.
+        """
+        for n, p in self.params.items():
+            if not np.isfinite(p.grad).all():
+                raise FloatingPointError(f"Adam.step: non-finite gradient for {n}")
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for n, p in self.params.items():
             g = p.grad
             m = self.m[n]
             v = self.v[n]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
             p.grad[...] = 0.0
 
 

@@ -44,12 +44,9 @@ from .space import _key_str
 from .supernet import ConformerSupernet, DerivedModel
 from .tensor import backward
 
-CTC_WEIGHT = 0.3
-LABEL_SMOOTHING = 0.1
-
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; the last good checkpoint stays on disk."""
+    """Loss or gradient became non-finite; the last good checkpoint stays on disk."""
 
 
 class RecipeError(ValueError):
@@ -95,10 +92,8 @@ def sub_seed(seed, tag):
 
 
 class SupernetTask:
-    def __init__(self, supernet, ctc_weight=CTC_WEIGHT, smoothing=LABEL_SMOOTHING):
+    def __init__(self, supernet):
         self.supernet = supernet
-        self.ctc_weight = ctc_weight
-        self.smoothing = smoothing
 
     @property
     def space(self):
@@ -109,10 +104,7 @@ class SupernetTask:
 
     def batch_loss(self, batch, weights):
         out = self.supernet.mixed_forward(batch, weights)
-        return hybrid_batch_loss(
-            out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs,
-            ctc_weight=self.ctc_weight, smoothing=self.smoothing,
-        )
+        return hybrid_batch_loss(out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
 
 
 def default_task_factory(space, seed, weights=None):
@@ -151,12 +143,12 @@ def logits_from_checkpoint(ckpt, eta=0.0):
     return logits
 
 
-def corpus_ter(model, utterances, max_len=None):
+def corpus_ter(model, utterances):
     """Corpus-level token error rate: total edit distance over total tokens."""
     err = 0
     total = 0
     for u in utterances:
-        hyp = greedy_decode(model, u.features, max_len=max_len)
+        hyp = greedy_decode(model, u.features)
         err += edit_distance(hyp.ids, tuple(int(t) for t in u.tokens))
         total += len(u.tokens)
     return err / max(total, 1)
@@ -169,7 +161,7 @@ def corpus_ter(model, utterances, max_len=None):
 
 def _diverged(stage, epoch):
     return TrainingDivergedError(
-        f"stage {stage!r} diverged at epoch {epoch} (non-finite loss); "
+        f"stage {stage!r} diverged at epoch {epoch} (non-finite loss or gradient); "
         f"last good checkpoint retained"
     )
 
@@ -249,17 +241,16 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
         total = 0.0
         count = 0
         for batch in iter_batches(train, cfg.batch_size, rng):
-            for p in model.named_parameters().values():
-                p.zero_grad()
             out = model.forward(batch)
             loss = hybrid_batch_loss(
-                out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs,
-                ctc_weight=CTC_WEIGHT, smoothing=LABEL_SMOOTHING,
-            )
-            backward(loss)
+                out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
             if not np.isfinite(loss.item()):
                 raise _diverged(cfg.name, epoch)
-            opt.step()
+            backward(loss)
+            try:
+                opt.step()
+            except FloatingPointError as exc:
+                raise _diverged(cfg.name, epoch) from exc
             total += loss.item()
             count += 1
         entry = {"epoch": epoch, "train_loss": float(total / count)}
@@ -304,15 +295,14 @@ def pretrain_supernet(corpus, cfg, space, out_path, seed=0, task_factory=None):
     return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
 
 
-def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0, space=None, task_factory=None):
+def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0, space=None):
     """Continue alternating optimization from a supernet checkpoint."""
     ckpt.require_kind("supernet", "adapt_supernet")
     if space is not None and space != ckpt.space:
         raise IncompatibleCheckpointError(
             "adapt_supernet: configured space differs from the checkpoint space"
         )
-    factory = task_factory or default_task_factory
-    task = factory(ckpt.space, sub_seed(seed, "init"), weights=ckpt.weights)
+    task = default_task_factory(ckpt.space, sub_seed(seed, "init"), weights=ckpt.weights)
     logits = logits_from_checkpoint(ckpt, eta=cfg.eta)
     lineage = list(ckpt.lineage) + [_lineage_entry(cfg, seed)]
     return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
@@ -351,7 +341,7 @@ def parameter_finetune(ckpt, corpus, cfg, out_path, seed=0):
 _STAGE_INPUT_KIND = {"adapt": "supernet", "derive": "supernet", "finetune": "model"}
 
 
-def run_recipe(stages, corpora, out_dir, space, seed=0, task_factory=None):
+def run_recipe(stages, corpora, out_dir, space, seed=0):
     """Execute stages in order; returns per-stage metrics and checkpoint paths.
 
     ``corpora`` maps corpus tags (source/target) to loaded corpora. Stage
@@ -405,12 +395,10 @@ def run_recipe(stages, corpora, out_dir, space, seed=0, task_factory=None):
         corpus = corpora[cfg.corpus]
         t0 = time.monotonic()
         if cfg.kind == "pretrain":
-            ckpt, history = pretrain_supernet(corpus, cfg, space, out_path,
-                                              seed=stage_seed, task_factory=task_factory)
+            ckpt, history = pretrain_supernet(corpus, cfg, space, out_path, seed=stage_seed)
         elif cfg.kind == "adapt":
             ckpt, history = adapt_supernet(in_ckpt, corpus, cfg, out_path,
-                                           seed=stage_seed, space=space,
-                                           task_factory=task_factory)
+                                           seed=stage_seed, space=space)
         elif cfg.kind == "derive":
             ckpt, history = derive_model(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
         else:

@@ -130,7 +130,8 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
 
     Each loss is checked before its backward pass: a non-finite one raises
     ``FloatingPointError`` and its optimizer does not step, so a poisoned
-    batch leaves the parameters it would have updated as they were.
+    batch leaves the parameters it would have updated as they were. A
+    non-finite gradient makes ``Adam.step`` raise the same way.
     """
     if train_batch.size == 0 or heldout_batch.size == 0:
         raise ValueError("alternating_step: empty batch")

@@ -10,12 +10,15 @@ from confadapt import tensor as T
 from confadapt.losses import (
     BLANK_ID,
     EOS_ID,
+    FIRST_TOKEN_ID,
+    SOS_ID,
     InfeasibleAlignmentError,
     TokenSeq,
     attention_ce_loss,
     ctc_loss,
     ctc_min_frames,
     edit_distance,
+    greedy_decode,
     hybrid_loss,
     token_error_rate,
 )
@@ -297,6 +300,61 @@ class TestHybrid:
         base = hybrid_loss(Tensor(1.0), Tensor(1.0), 0.3).item()
         assert hybrid_loss(Tensor(2.0), Tensor(1.0), 0.3).item() > base
         assert hybrid_loss(Tensor(1.0), Tensor(2.0), 0.3).item() > base
+
+
+class ScriptedDecoder:
+    """Stub with ``forward_encoder``/``forward_decoder`` that emits ``script``
+    one token per step and then EOS; ``script=None`` never emits EOS. Its
+    logits come from an op on a trainable tensor, so a recorded tape shows."""
+
+    vocab = 7
+
+    def __init__(self, script):
+        self.script = script
+        self.bias = Tensor(np.zeros(self.vocab), requires_grad=True)
+        self.prefixes = []
+        self.outputs = []
+
+    def forward_encoder(self, features, lens):
+        enc = Tensor(features) + self.bias[:features.shape[-1]]
+        self.outputs.append(enc)
+        return enc, np.asarray(lens), None
+
+    def forward_decoder(self, enc, enc_lens, tokens_in):
+        prefix = np.asarray(tokens_in)
+        self.prefixes.append(prefix[0].tolist())
+        step = prefix.shape[1] - 1
+        if self.script is None:
+            tok = FIRST_TOKEN_ID
+        else:
+            tok = self.script[step] if step < len(self.script) else EOS_ID
+        scores = np.zeros((1, prefix.shape[1], self.vocab))
+        scores[0, -1, tok] = 1.0
+        logits = Tensor(scores) + self.bias
+        self.outputs.append(logits)
+        return logits
+
+
+class TestGreedyDecode:
+    def test_stops_at_eos(self):
+        model = ScriptedDecoder([3, 5, 3])
+        hyp = greedy_decode(model, np.ones((4, 2)))
+        assert hyp == TokenSeq([3, 5, 3], truncated=False)
+        assert model.prefixes == [[SOS_ID], [SOS_ID, 3], [SOS_ID, 3, 5], [SOS_ID, 3, 5, 3]]
+
+    def test_cap_is_twice_encoder_length_plus_ten(self):
+        for frames in (1, 4, 9):
+            hyp = greedy_decode(ScriptedDecoder(None), np.ones((frames, 2)))
+            assert hyp.truncated
+            assert hyp.ids == (FIRST_TOKEN_ID,) * (2 * frames + 10)
+
+    def test_records_no_tape(self):
+        model = ScriptedDecoder([4])
+        greedy_decode(model, np.ones((3, 2)))
+        assert len(model.outputs) == 3
+        for out in model.outputs:
+            assert not out.requires_grad and out._parents == ()
+        assert T._GRAD_ENABLED
 
 
 def edit_distance_oracle(a, b):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from confadapt import pipeline
 from confadapt.checkpoint import Checkpoint, IncompatibleCheckpointError, _read_sections
 from confadapt.data import default_domain_pair, generate
 from confadapt.pipeline import (
@@ -18,6 +19,7 @@ from confadapt.pipeline import (
     run_recipe,
     sub_seed,
 )
+from confadapt.optim import Adam
 from confadapt.search import extract
 from confadapt.space import ArchSpace, DerivedArch
 from confadapt.supernet import ConformerSupernet
@@ -270,6 +272,37 @@ class TestFinetune:
         )
         assert ckpt.arch.choices == model_ckpt.arch.choices
         assert ckpt.space == model_ckpt.space
+
+    def test_divergence_aborts_and_retains_last_good(self, model_ckpt, tmp_path):
+        _, tgt_spec = default_domain_pair(feat_dim=6, vocab_tokens=6)
+        poisoned = generate(tgt_spec, {"train": 16, "dev": 8})
+        poisoned.split("train")[0].features[0, 0] = np.nan
+        path = tmp_path / "f.ckpt"
+        with pytest.raises(TrainingDivergedError, match="diverged at epoch 0"):
+            parameter_finetune(model_ckpt, poisoned,
+                               cfg("f", "finetune", corpus="target", epochs=2), path, seed=4)
+        # the loss is checked before backward, so no poisoned update reached
+        # the weights; the file on disk is the one written at the stage start
+        retained = Checkpoint.load(path)
+        for name, arr in model_ckpt.weights.items():
+            assert retained.weights[name].tobytes() == arr.tobytes(), name
+
+    def test_non_finite_gradient_aborts_before_the_update(self, model_ckpt, corpora, tmp_path,
+                                                          monkeypatch):
+        class OverflowingAdam(Adam):
+            def step(self):
+                next(iter(self.params.values())).grad.flat[0] = np.inf
+                super().step()
+
+        monkeypatch.setattr(pipeline, "Adam", OverflowingAdam)
+        path = tmp_path / "f.ckpt"
+        with pytest.raises(TrainingDivergedError, match="diverged at epoch 0") as err:
+            parameter_finetune(model_ckpt, corpora["target"],
+                               cfg("f", "finetune", corpus="target", epochs=2), path, seed=4)
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        retained = Checkpoint.load(path)
+        for name, arr in model_ckpt.weights.items():
+            assert retained.weights[name].tobytes() == arr.tobytes(), name
 
     def test_lineage_append_only(self, model_ckpt, corpora, tmp_path):
         ckpt, _ = parameter_finetune(

@@ -142,26 +142,35 @@ def ctc_loss(log_probs, frame_lens, references):
     return T._from_op(-log_z, (log_probs,), bw)
 
 
-def attention_ce_loss(decoder_logits, reference, smoothing=0.1):
-    """Mean label-smoothed cross-entropy over reference tokens plus EOS.
+def attention_ce_loss(dec_logits, references, smoothing=0.1):
+    """Per-utterance mean label-smoothed cross-entropy over reference tokens plus EOS.
 
-    ``decoder_logits`` has one row per teacher-forced position, i.e.
-    len(reference) + 1 rows, the last predicting the end sentinel.
+    ``dec_logits`` is a padded (batch, positions, vocab) tensor of
+    teacher-forced decoder scores: utterance ``b`` reads its first
+    len(references[b]) + 1 positions, the last predicting the end
+    sentinel. Returns a (batch,) tensor. Padded positions are masked out
+    before the softmax, so they never enter a loss or its gradient, even
+    when they hold non-finite values.
     """
-    ids = _ref_ids(reference)
-    targets = list(ids) + [EOS_ID]
-    if decoder_logits.ndim != 2 or decoder_logits.shape[0] != len(targets):
+    dec_logits = T.as_tensor(dec_logits)
+    targets = [list(_ref_ids(r)) + [EOS_ID] for r in references]
+    lens = np.array([len(t) for t in targets])
+    shape = dec_logits.shape
+    if len(shape) != 3 or shape[0] != len(targets) or shape[1] < lens.max(initial=0):
         raise ShapeError(
-            f"attention_ce_loss: logits shape {decoder_logits.shape} does not match "
-            f"{len(targets)} target positions"
+            f"attention_ce_loss: logits shape {shape} does not fit {len(targets)} "
+            f"references of up to {lens.max(initial=0)} target positions"
         )
-    vocab = decoder_logits.shape[1]
-    if any(t >= vocab for t in targets):
+    batch, positions, vocab = shape
+    if any(not 0 <= t < vocab for ts in targets for t in ts):
         raise ValueError(f"attention_ce_loss: target id out of vocabulary ({vocab})")
-    q = np.full((len(targets), vocab), smoothing / vocab)
-    q[np.arange(len(targets)), targets] += 1.0 - smoothing
-    lp = T.log_softmax(decoder_logits, axis=-1)
-    return -(lp * Tensor(q)).sum() / len(targets)
+    live = np.arange(positions) < lens[:, None]
+    q = np.zeros((batch, positions, vocab))
+    q[live] = smoothing / vocab
+    rows, cols = np.nonzero(live)
+    q[rows, cols, np.concatenate(targets)] += 1.0 - smoothing
+    lp = T.log_softmax(T.masked_fill(dec_logits, ~live[..., None], 0.0), axis=-1)
+    return (lp * Tensor(q)).sum(axis=(1, 2)) * Tensor(-1.0 / lens)
 
 
 def hybrid_loss(ctc, aed, weight=0.3):
@@ -181,20 +190,14 @@ def hybrid_loss(ctc, aed, weight=0.3):
 def hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs):
     """Mean hybrid loss over a padded batch.
 
-    CTC runs once over the padded batch with the true encoder lengths; per
-    utterance the decoder logits are sliced to the true token count plus
-    the EOS position.
+    CTC runs over the encoder frames up to each true encoder length, the
+    attention cross-entropy over the decoder positions up to each true
+    token count plus EOS; both return per-utterance losses.
     """
     if len(token_seqs) == 0:
         raise ValueError("hybrid_batch_loss: empty batch")
     ctc = ctc_loss(ctc_logprobs, enc_lens, token_seqs)
-    total = None
-    for i, ref in enumerate(token_seqs):
-        ids = _ref_ids(ref)
-        a = attention_ce_loss(dec_logits[i, : len(ids) + 1], ids)
-        h = hybrid_loss(ctc[i], a)
-        total = h if total is None else total + h
-    return total / len(token_seqs)
+    return hybrid_loss(ctc, attention_ce_loss(dec_logits, token_seqs)).mean()
 
 
 def greedy_decode(model, features):

@@ -18,11 +18,8 @@ class Adam:
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
 
     def step(self):
-        """Apply one update from accumulated grads, then clear them.
-
-        A non-finite gradient raises ``FloatingPointError`` before any
-        moment or weight is touched, so the step leaves no trace.
-        """
+        """Apply one update from accumulated grads, then clear them; a non-finite
+        gradient raises ``FloatingPointError`` before any state changes."""
         for n, p in self.params.items():
             if not np.isfinite(p.grad).all():
                 raise FloatingPointError(f"Adam.step: non-finite gradient for {n}")

@@ -1,8 +1,9 @@
 """Float64 tensors with reverse-mode automatic differentiation.
 
-The operation set is exactly what the searchable Conformer stack and its
-sequence losses need, nothing more. Constraints that keep the gradient
-rules small and testable:
+The operation set is what the searchable Conformer stack and its sequence
+losses need, plus ``concat``, ``stack``, ``logsumexp`` and ``sigmoid``,
+which only tests call (the tape CTC oracle, op tests, criterion 1).
+Constraints that keep the gradient rules small and testable:
 
 - all values are 64-bit floats,
 - broadcasting is limited to leading-dim expansion: a tensor of shape

@@ -19,6 +19,7 @@ from confadapt.losses import (
     ctc_min_frames,
     edit_distance,
     greedy_decode,
+    hybrid_batch_loss,
     hybrid_loss,
     token_error_rate,
 )
@@ -241,24 +242,54 @@ class TestFusedCTC:
             ctc_loss(lp, [2], [[1, 1]])
 
 
+def loop_attention_ce(decoder_logits, reference, smoothing=0.1):
+    """Attention cross-entropy of one utterance from its own
+    (len(reference) + 1, vocab) logits, built on the tape row block by row block."""
+    targets = list(reference) + [EOS_ID]
+    assert decoder_logits.shape[0] == len(targets)
+    vocab = decoder_logits.shape[1]
+    q = np.full((len(targets), vocab), smoothing / vocab)
+    q[np.arange(len(targets)), targets] += 1.0 - smoothing
+    lp = T.log_softmax(decoder_logits, axis=-1)
+    return -(lp * Tensor(q)).sum() / len(targets)
+
+
+def loop_hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs):
+    """Mean hybrid loss with the attention half summed one utterance at a time."""
+    ctc = ctc_loss(ctc_logprobs, enc_lens, token_seqs)
+    total = None
+    for i, ref in enumerate(token_seqs):
+        a = loop_attention_ce(dec_logits[i, : len(ref) + 1], ref)
+        h = hybrid_loss(ctc[i], a)
+        total = h if total is None else total + h
+    return total / len(token_seqs)
+
+
+def ce_single(x, ref, smoothing=0.1):
+    """The batched cross-entropy on one utterance that fills its (positions, vocab) logits."""
+    x = T.as_tensor(x)
+    positions, vocab = x.shape
+    return attention_ce_loss(x.reshape(1, positions, vocab), [ref], smoothing=smoothing)[0]
+
+
 class TestAttentionCE:
     def test_near_one_hot_logits_near_zero_loss(self):
         ref = [3, 4]
         targets = ref + [EOS_ID]
         logits = np.full((3, 6), -50.0)
         logits[np.arange(3), targets] = 50.0
-        loss = attention_ce_loss(Tensor(logits), ref, smoothing=0.0)
+        loss = ce_single(Tensor(logits), ref, smoothing=0.0)
         assert loss.item() < 1e-12
 
     def test_uniform_logits_log_vocab(self):
-        loss = attention_ce_loss(Tensor(np.zeros((4, 7))), [3, 4, 5], smoothing=0.0)
+        loss = ce_single(Tensor(np.zeros((4, 7))), [3, 4, 5], smoothing=0.0)
         np.testing.assert_allclose(loss.item(), math.log(7), atol=1e-12)
 
     def test_smoothed_two_token_case_matches_direct_formula(self):
         vocab, eps = 5, 0.1
         ref = [3, 4]
         logits = rng.normal(size=(3, vocab))
-        got = attention_ce_loss(Tensor(logits), ref, smoothing=eps).item()
+        got = ce_single(Tensor(logits), ref, smoothing=eps).item()
         # independent evaluation of the smoothed cross-entropy
         lp = logits - np.log(np.exp(logits).sum(-1, keepdims=True))
         targets = ref + [EOS_ID]
@@ -272,11 +303,105 @@ class TestAttentionCE:
 
     def test_length_mismatch_raises(self):
         with pytest.raises(T.ShapeError, match="target positions"):
-            attention_ce_loss(Tensor(np.zeros((2, 5))), [3, 4])
+            ce_single(Tensor(np.zeros((2, 5))), [3, 4])
 
     def test_gradient(self):
         logits = rng.normal(size=(3, 5))
-        check_grads(lambda x: attention_ce_loss(x, [3, 4], smoothing=0.1), [logits])
+        check_grads(lambda x: ce_single(x, [3, 4], smoothing=0.1), [logits])
+
+
+def rand_hybrid_batch(case_rng, batch):
+    """CTC scores and padded decoder logits over shared references. Decoder
+    positions past each reference's EOS hold large random scores."""
+    vocab = int(case_rng.integers(3, 8))
+    frames = int(case_rng.integers(1, 11))
+    lp, lens, refs = rand_padded_batch(case_rng, batch, frames, vocab)
+    positions = max(len(r) for r in refs) + 1 + int(case_rng.integers(0, 3))
+    dec = case_rng.normal(size=(batch, positions, vocab)) * 3.0
+    return lp, lens, dec, refs
+
+
+class TestBatchedAttentionCE:
+    @pytest.mark.filterwarnings("error")
+    def test_matches_loop_oracle_on_random_padded_batches(self):
+        case_rng = np.random.default_rng(2017)
+        seen = {"empty": 0, "padded": 0, "mixed_lens": 0}
+        worst = {"ce": 0.0, "ce_grad": 0.0, "hybrid": 0.0, "hybrid_grad": 0.0}
+        for case in range(240):
+            batch = case % 8 + 1
+            lp, lens, dec, refs = rand_hybrid_batch(case_rng, batch)
+            upstream = case_rng.normal(size=batch)
+
+            x = Tensor(dec, requires_grad=True)
+            loss = attention_ce_loss(x, refs)
+            backward((loss * Tensor(upstream)).sum())
+            for b, ref in enumerate(refs):
+                n = len(ref) + 1
+                xb = Tensor(dec[b, :n], requires_grad=True)
+                expect = loop_attention_ce(xb, ref)
+                backward(expect * upstream[b])
+                worst["ce"] = max(worst["ce"], abs(loss.data[b] - expect.item()))
+                worst["ce_grad"] = max(worst["ce_grad"], np.abs(x.grad[b, :n] - xb.grad).max())
+                assert (x.grad[b, n:] == 0).all()
+                seen["empty"] += not ref
+                seen["padded"] += n < dec.shape[1]
+            seen["mixed_lens"] += len({len(r) for r in refs}) > 1
+
+            g = case_rng.normal()
+            got_in = (Tensor(lp, requires_grad=True), Tensor(dec, requires_grad=True))
+            want_in = (Tensor(lp, requires_grad=True), Tensor(dec, requires_grad=True))
+            got = hybrid_batch_loss(got_in[0], lens, got_in[1], refs)
+            want = loop_hybrid_batch_loss(want_in[0], lens, want_in[1], refs)
+            backward(got * g)
+            backward(want * g)
+            worst["hybrid"] = max(worst["hybrid"], abs(got.item() - want.item()))
+            for a, e in zip(got_in, want_in):
+                worst["hybrid_grad"] = max(worst["hybrid_grad"], np.abs(a.grad - e.grad).max())
+        assert max(worst.values()) < 1e-12, worst
+        assert min(seen.values()) >= 20, seen
+
+    def test_gradient_matches_finite_differences_on_padded_batch(self):
+        logits = np.random.default_rng(8).normal(size=(3, 4, 6))
+        weights = Tensor([0.7, -1.3, 0.4])
+        check_grads(lambda x: (attention_ce_loss(x, [[3, 5], [], [4, 4, 3]]) * weights).sum(),
+                    [logits])
+
+    def test_nan_at_a_padded_position_stays_out_and_at_a_live_one_stays_in(self):
+        logits = np.random.default_rng(6).normal(size=(3, 5, 6))
+        refs = [[3, 4], [5, 3, 4, 3], []]
+
+        def run(scores):
+            x = Tensor(scores, requires_grad=True)
+            loss = attention_ce_loss(x, refs)
+            backward(loss.sum())
+            return loss.data, x.grad
+
+        clean_loss, clean_grad = run(logits)
+        padded = logits.copy()
+        padded[0, 3, 1] = np.nan   # past utterance 0's EOS position
+        padded[2, 1:, :] = np.nan  # every padded position of utterance 2
+        loss, grad = run(padded)
+        assert np.isfinite(loss).all()
+        assert loss.tobytes() == clean_loss.tobytes()
+        assert grad.tobytes() == clean_grad.tobytes()
+
+        live = logits.copy()
+        live[1, 2, 0] = np.nan     # a position utterance 1 reads
+        loss, grad = run(live)
+        assert np.isnan(loss[1]) and np.isnan(grad[1]).any()
+        for b in (0, 2):
+            assert loss[b] == clean_loss[b]
+            assert (grad[b] == clean_grad[b]).all()
+
+    def test_shape_and_vocabulary_errors(self):
+        with pytest.raises(ShapeError, match=r"\(3, 6\) does not fit 2 references"):
+            attention_ce_loss(Tensor(np.zeros((3, 6))), [[3], [4]])
+        with pytest.raises(ShapeError, match=r"\(1, 3, 6\) does not fit 2 references"):
+            attention_ce_loss(Tensor(np.zeros((1, 3, 6))), [[3], [4]])
+        with pytest.raises(ShapeError, match=r"\(2, 3, 6\) .* up to 4 target positions"):
+            attention_ce_loss(Tensor(np.zeros((2, 3, 6))), [[3], [4, 5, 3]])
+        with pytest.raises(ValueError, match="out of vocabulary"):
+            attention_ce_loss(Tensor(np.zeros((1, 3, 6))), [[3, 6]])
 
 
 class TestHybrid:

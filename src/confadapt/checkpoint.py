@@ -24,9 +24,10 @@ sections are ignored.
 
 Writes are atomic (temp file then rename). Loading a truncated or
 corrupt file, one without the ``meta``, ``space``, ``weights`` and
-``lineage`` sections, or one whose sections hold malformed contents
-(such as an ``arch`` that does not fit its ``space``, or a logits group
-whose length differs from its number of choices) raises
+``lineage`` sections, a supernet file without ``logits``, a model file
+without ``arch``, or one whose sections hold malformed contents (such
+as an ``arch`` that does not fit its ``space``, or a logits group that
+is missing or whose length differs from its number of choices) raises
 ``IncompatibleCheckpointError`` naming the path.
 """
 
@@ -46,6 +47,8 @@ from .space import ArchSpace, DerivedArch, _key_str
 MAGIC = b"CFADCKPT"
 VERSION = 1
 REQUIRED_SECTIONS = ("meta", "space", "weights", "lineage")
+# the section each kind's loader reads besides the required ones
+KIND_SECTIONS = {"supernet": "logits", "model": "arch"}
 
 
 class IncompatibleCheckpointError(ValueError):
@@ -125,16 +128,21 @@ def _from_sections(sections):
     space_js, _ = sections["space"]
     _, weights = sections["weights"]
     ck = Checkpoint(kind=meta["kind"], space=ArchSpace.from_json(space_js), weights=weights)
+    section = KIND_SECTIONS.get(ck.kind)
+    if section is not None and section not in sections:
+        raise ValueError(f"{ck.kind} checkpoint has no {section!r} section")
     if "arch" in sections:
         ck.arch = DerivedArch.from_json(sections["arch"][0])
         ck.arch.validate(ck.space)
     if "logits" in sections:
         ck.logits_meta, ck.logits = sections["logits"]
         for key, choices in ck.space.groups():
-            vec = ck.logits.get(_key_str(key))
-            if vec is not None and vec.shape != (len(choices),):
+            name = _key_str(key)
+            if name not in ck.logits:
+                raise ValueError(f"logits group {name} is missing")
+            if ck.logits[name].shape != (len(choices),):
                 raise ValueError(
-                    f"logits group {_key_str(key)} has shape {vec.shape}, "
+                    f"logits group {name} has shape {ck.logits[name].shape}, "
                     f"expected {(len(choices),)}"
                 )
     ck.lineage, _ = sections["lineage"]

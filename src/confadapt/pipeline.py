@@ -110,19 +110,8 @@ class SupernetTask:
 def default_task_factory(space, seed, weights=None):
     net = ConformerSupernet(space, seed=seed)
     if weights is not None:
-        _load_params(net.named_parameters(), weights)
+        net.load_weights(weights)
     return SupernetTask(net)
-
-
-def _load_params(params, weights):
-    for name, p in params.items():
-        if name not in weights:
-            raise IncompatibleCheckpointError(f"checkpoint is missing parameter {name}")
-        if weights[name].shape != p.data.shape:
-            raise IncompatibleCheckpointError(
-                f"checkpoint parameter {name}: shape {weights[name].shape} != {p.data.shape}"
-            )
-        p.data[...] = weights[name]
 
 
 def model_from_checkpoint(ckpt):
@@ -136,22 +125,27 @@ def logits_from_checkpoint(ckpt, eta=0.0):
     if "temperature" in meta:
         logits.temperature = float(meta["temperature"])
     for key, vec in logits.groups.items():
-        name = _key_str(key)
-        if name not in ckpt.logits:
-            raise IncompatibleCheckpointError(f"checkpoint is missing logits group {name}")
-        vec.data[...] = ckpt.logits[name]
+        vec.data[...] = ckpt.logits[_key_str(key)]
     return logits
+
+
+def utterance_errors(model, utterances):
+    """(edit distance, reference length) of each utterance's greedy decode."""
+    out = []
+    for u in utterances:
+        hyp = greedy_decode(model, u.features)
+        out.append((edit_distance(hyp.ids, tuple(int(t) for t in u.tokens)), len(u.tokens)))
+    return out
+
+
+def error_rate(errors):
+    """Corpus-level token error rate of (edits, tokens) pairs: total over total."""
+    return sum(e for e, _ in errors) / max(sum(n for _, n in errors), 1)
 
 
 def corpus_ter(model, utterances):
     """Corpus-level token error rate: total edit distance over total tokens."""
-    err = 0
-    total = 0
-    for u in utterances:
-        hyp = greedy_decode(model, u.features)
-        err += edit_distance(hyp.ids, tuple(int(t) for t in u.tokens))
-        total += len(u.tokens)
-    return err / max(total, 1)
+    return error_rate(utterance_errors(model, utterances))
 
 
 # ---------------------------------------------------------------------
@@ -268,7 +262,7 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
         if cfg.patience is not None and bad_epochs > cfg.patience:
             break
     if best is not None:
-        _load_params(model.named_parameters(), best[2])
+        model.load_weights(best[2])
         ckpt = _model_checkpoint(model, lineage)
         ckpt.save(out_path)
     return ckpt, history
@@ -312,7 +306,7 @@ def derive_model(ckpt, corpus, cfg, out_path, seed=0):
     """Extract the 1-best arch, materialize it, train it on the corpus."""
     ckpt.require_kind("supernet", "derive_model")
     supernet = ConformerSupernet(ckpt.space, seed=0)
-    _load_params(supernet.named_parameters(), ckpt.weights)
+    supernet.load_weights(ckpt.weights)
     logits = logits_from_checkpoint(ckpt)
     arch = extract(logits)
     if cfg.init == "inherit":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .checkpoint import Checkpoint
 from .data import median_split
-from .pipeline import corpus_ter, model_from_checkpoint, run_recipe
+from .pipeline import error_rate, model_from_checkpoint, run_recipe, utterance_errors
 from .space import DEC_GROUPS_SHARED, DEC_GROUPS_SPLIT, ENC_GROUPS, param_count
 
 REPORT_SCHEMA_VERSION = 1
@@ -27,16 +27,21 @@ def stratified_eval(model, corpus, split="test"):
     if not utts:
         raise ValueError(f"stratified_eval: corpus has no {split!r} split")
     shorter, longer = median_split(utts)
-    rec = {
+    # decode each utterance once; the halves partition the split
+    errors = dict(zip(map(id, utts), utterance_errors(model, utts)))
+
+    def ter(part):
+        return error_rate([errors[id(u)] for u in part]) if part else None
+
+    return {
         "split": split,
-        "overall": corpus_ter(model, utts),
+        "overall": ter(utts),
         "n_total": len(utts),
-        "shorter": corpus_ter(model, shorter) if shorter else None,
+        "shorter": ter(shorter),
         "n_shorter": len(shorter),
-        "longer": corpus_ter(model, longer) if longer else None,
+        "longer": ter(longer),
         "n_longer": len(longer),
     }
-    return rec
 
 
 def system_record(name, ckpt_path, corpus, split="test"):

@@ -164,8 +164,8 @@ def _cost(space, val):
     """Total parameter count with per-group sizes supplied by ``val``.
 
     Works for exact integers (derived arch) and for expectations
-    (floats or scalar tensors), since every term is linear in each
-    group's size and attention is bilinear in (heads, head dim).
+    (scalar tensors), since every term is linear in each group's size
+    and attention is bilinear in (heads, head dim).
     """
     d, f, v = space.model_dim, space.feat_dim, space.vocab_size
     front = (3 * f + f) + _linear_params(f, d) + (3 * d + d) + _linear_params(d, d)
@@ -204,19 +204,14 @@ def param_count(space, arch):
 
 
 def expected_param_count(space, weights):
-    """Size expectation under per-group mixing weights.
+    """Size expectation under per-group mixing weights, as a scalar Tensor.
 
-    ``weights`` maps group keys to weight vectors (tensors stay on the
-    tape, so the result is differentiable; plain arrays give a float).
-    Attention size uses E[heads * dim] = E[heads] * E[dim], the groups
-    being independent.
+    ``weights`` maps group keys to weight-vector Tensors; the result
+    stays on their tape, so it is differentiable. Attention size uses
+    E[heads * dim] = E[heads] * E[dim], the groups being independent.
     """
     def val(key):
-        lam = weights[key]
         opts = np.asarray(space.group_choices(key), dtype=np.float64)
-        if isinstance(lam, Tensor):
-            return (lam * Tensor(opts)).sum()
-        return float(np.dot(np.asarray(lam, dtype=np.float64), opts))
+        return (weights[key] * Tensor(opts)).sum()
 
-    total = _cost(space, val)
-    return total if isinstance(total, Tensor) else float(total)
+    return _cost(space, val)

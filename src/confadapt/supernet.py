@@ -3,15 +3,15 @@ branches for the searchable sub-modules.
 
 Each searchable sub-module keeps one max-size buffer per parameter and
 is the only place that knows how a choice maps onto it: feed-forward
-candidates take the leading hidden units of the widest matrices,
-attention candidates the leading heads and head dims of the largest
-projections, kernel candidates the center taps of the widest depthwise
-kernel. A module has one forward entry, which takes either its mixing
-weights (one tensor per group) or a concrete choice, and one ``export``,
-which returns the parameter arrays a choice reads, keyed by full name.
-Both go through the same slice helper, so a one-hot mixture, the direct
-single-branch forward and the materialized standalone model agree
-numerically.
+candidates take the leading hidden units, attention candidates the
+leading heads and head dims, kernel candidates the center taps of the
+widest depthwise kernel. A module has one forward entry, taking its
+mixing weights (one tensor per group) or a concrete choice, and one
+``export``, returning the parameter arrays a choice reads by full name;
+both use the same slice helper, so a one-hot mixture, the direct
+single-branch forward and the materialized model agree numerically.
+Every module mixes by one rule: loop over a candidate's nonlinear part
+only, fold the mixture into per-column weights, then project once.
 
 Blocks take one selector, a mixing-weight dict or a ``DerivedArch``,
 both indexed by group key. A materialized model reuses the blocks with
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import IncompatibleCheckpointError
 from .tensor import ShapeError, Tensor
 
 NEG_FILL = -1.0e30
@@ -63,25 +64,14 @@ def _init_value(shape, kind, rng):
 
 
 class _Builder:
-    """Registers parameters in creation order, drawing fresh values or
-    taking them from a provided name -> array mapping."""
+    """Registers parameters in creation order with values drawn from ``rng``."""
 
-    def __init__(self, params, rng=None, source=None):
+    def __init__(self, params, rng):
         self.params = params
         self.rng = rng
-        self.source = source
 
     def __call__(self, name, shape, kind):
-        if self.source is not None:
-            if name not in self.source:
-                raise KeyError(f"missing parameter {name}")
-            val = np.asarray(self.source[name], dtype=np.float64)
-            if val.shape != tuple(shape):
-                raise ShapeError(f"parameter {name}: shape {val.shape} != expected {tuple(shape)}")
-            val = val.copy()
-        else:
-            val = _init_value(tuple(shape), kind, self.rng)
-        p = Tensor(val, requires_grad=True)
+        p = Tensor(_init_value(tuple(shape), kind, self.rng), requires_grad=True)
         self.params[name] = p
         return p
 
@@ -135,6 +125,11 @@ def _export(prefix, names, arrays):
     return {f"{prefix}.{n}": a.copy() for n, a in zip(names, arrays)}
 
 
+def _prefix_mask(choices, width):
+    """(len(choices), width) 0/1 rows; row i keeps the leading ``choices[i]`` columns."""
+    return (np.arange(width)[None, :] < np.asarray(choices)[:, None]).astype(np.float64)
+
+
 class SearchableFF:
     """Macaron-style feed-forward with a searchable hidden width."""
 
@@ -146,10 +141,7 @@ class SearchableFF:
         self.b1 = build(prefix + ".b1", (width,), "zeros")
         self.w2 = build(prefix + ".w2", (width, d), "xavier")
         self.b2 = build(prefix + ".b2", (d,), "zeros")
-        m = np.zeros((len(self.choices), width))
-        for i, c in enumerate(self.choices):
-            m[i, :c] = 1.0
-        self._prefix_cols = Tensor(m)
+        self._prefix_cols = Tensor(_prefix_mask(self.choices, width))
 
     @staticmethod
     def _slice(fd, w1, b1, w2):
@@ -192,6 +184,11 @@ class SearchableAttention:
         self.bv = build(prefix + ".bv", (wide,), "zeros")
         self.wo = build(prefix + ".wo", (wide, d), "xavier")
         self.bo = build(prefix + ".bo", (d,), "zeros")
+        # per head dim a, a (heads choice, packed column) mask: candidate
+        # (h, a) reads column (head j, dim i) iff j < h and i < a
+        heads = np.repeat(_prefix_mask(self.h_choices, h_max), a_max, axis=1)
+        dims = np.tile(_prefix_mask(self.a_choices, a_max), h_max)
+        self._cols = [Tensor(heads * dm) for dm in dims]
 
     def _in_slice(self, w, h, a):
         # input projections (d, H*A) and their biases (H*A,): heads packed
@@ -203,41 +200,34 @@ class SearchableAttention:
         return wo.reshape(self.h_max, self.a_max, self.d)[:h, :a, :].reshape(h * a, self.d)
 
     def _proj_in(self, w, b, x, h, a):
-        bt = x.shape[:2]
         if h != self.h_max or a != self.a_max:
             w, b = self._in_slice(w, h, a), self._in_slice(b, h, a)
-        return (x @ w + b).reshape(bt[0], bt[1], h, a)
-
-    def _proj_out(self, ctx, h, a):
-        b, t_q = ctx.shape[0], ctx.shape[1]
-        wo = self._out_slice(self.wo, h, a)
-        return ctx.reshape(b, t_q, h * a) @ wo
+        return (x @ w + b).reshape(*x.shape[:2], h, a)
 
     def __call__(self, x_q, x_kv, sel_h, sel_a, key_pad=None, causal=False):
         """``sel_h``, ``sel_a``: mixing weights over ``h_choices`` and
         ``a_choices`` (Tensors), or a head count and head dim."""
+        b, t_q = x_q.shape[:2]
         if not isinstance(sel_h, Tensor):
             h, a = sel_h, sel_a
             q = self._proj_in(self.wq, self.bq, x_q, h, a)
             k = self._proj_in(self.wk, self.bk, x_kv, h, a)
             v = self._proj_in(self.wv, self.bv, x_kv, h, a)
             ctx = attn_core(q, k, v, a, key_pad, causal)
-            return self._proj_out(ctx, h, a) + self.bo
-        # enumerate the (heads, head dim) grid; the projections are done
-        # once at full width, candidates slice heads/dims out of them
+            return ctx.reshape(b, t_q, h * a) @ self._out_slice(self.wo, h, a) + self.bo
+        # one attention per head dim over all heads and value dims; each
+        # context column is weighted by the candidates that read it
         qf = self._proj_in(self.wq, self.bq, x_q, self.h_max, self.a_max)
         kf = self._proj_in(self.wk, self.bk, x_kv, self.h_max, self.a_max)
         vf = self._proj_in(self.wv, self.bv, x_kv, self.h_max, self.a_max)
-        out = None
+        lam_h = sel_h.reshape(1, -1)
+        ctx = None
         for ai, a in enumerate(self.a_choices):
-            ctx_a = attn_core(
-                qf[:, :, :, :a], kf[:, :, :, :a], vf[:, :, :, :a], a, key_pad, causal
-            )
-            for hi, h in enumerate(self.h_choices):
-                o = self._proj_out(ctx_a[:, :, :h, :], h, a)
-                term = o * (sel_h[hi] * sel_a[ai])
-                out = term if out is None else out + term
-        return out + self.bo
+            ctx_a = attn_core(qf[:, :, :, :a], kf[:, :, :, :a], vf, a, key_pad, causal)
+            colw = (lam_h @ self._cols[ai]).reshape(-1) * sel_a[ai]
+            term = ctx_a.reshape(b, t_q, -1) * colw
+            ctx = term if ctx is None else ctx + term
+        return ctx @ self.wo + self.bo
 
     def export(self, h, a):
         arrays = [self._in_slice(getattr(self, n).data, h, a) for n in self._IN]
@@ -265,21 +255,20 @@ class SearchableConv:
         lo = (self.width - ck) // 2
         return dw[lo:lo + ck, :] if ck != self.width else dw
 
-    def _tail(self, u, kernel):
-        y = T.depthwise_conv1d(u, kernel, self.db)
-        y = T.swish(self.ln(y))
-        return y @ self.pw2 + self.pb2
+    def _act(self, u, ck):
+        return T.swish(self.ln(T.depthwise_conv1d(u, self._slice(ck, self.dw), self.db)))
 
     def __call__(self, x, sel):
         """``sel``: mixing weights over ``choices`` (Tensor) or a kernel size."""
         u = T.glu(x @ self.pw1 + self.pb1, axis=-1)
         if not isinstance(sel, Tensor):
-            return self._tail(u, self._slice(sel, self.dw))
-        out = None
+            return self._act(u, sel) @ self.pw2 + self.pb2
+        # pw2 is linear; pb2 keeps the total mixing weight it has in the branch sum
+        y = None
         for ki, ck in enumerate(self.choices):
-            term = self._tail(u, self._slice(ck, self.dw)) * sel[ki]
-            out = term if out is None else out + term
-        return out
+            term = self._act(u, ck) * sel[ki]
+            y = term if y is None else y + term
+        return y @ self.pw2 + self.pb2 * sel.sum()
 
     def export(self, ck):
         return _export(self.prefix, ("dw",), (self._slice(ck, self.dw.data),))
@@ -422,6 +411,17 @@ class _ConformerCore:
     def named_parameters(self):
         return dict(self.params)
 
+    def load_weights(self, weights):
+        """Copy ``weights`` (full name -> array) into every parameter."""
+        for name, p in self.params.items():
+            if name not in weights:
+                raise IncompatibleCheckpointError(f"checkpoint is missing parameter {name}")
+            if weights[name].shape != p.data.shape:
+                raise IncompatibleCheckpointError(
+                    f"checkpoint parameter {name}: shape {weights[name].shape} != {p.data.shape}"
+                )
+            p.data[...] = weights[name]
+
     def _posenc(self, length):
         if length not in self._pos:
             self._pos[length] = Tensor(_sinusoid(length, self.space.model_dim))
@@ -554,11 +554,10 @@ class DerivedModel(_ConformerCore):
     def __init__(self, space, arch, weights=None, seed=None):
         arch.validate(space)
         self.arch = arch
-        if weights is not None:
-            build = _Builder({}, source=weights)
-        else:
-            build = _Builder({}, rng=np.random.default_rng(0 if seed is None else seed))
+        build = _Builder({}, rng=np.random.default_rng(0 if seed is None else seed))
         super().__init__(space, lambda key: arch[key], build)
+        if weights is not None:
+            self.load_weights(weights)
 
     def param_count(self):
         return sum(p.data.size for p in self.params.values())

@@ -233,6 +233,20 @@ class TestStratifiedEval:
         rec = stratified_eval(_EchoModel(), self._corpus(), "test")
         assert rec["n_shorter"] + rec["n_longer"] == rec["n_total"] == 5
 
+    def test_each_utterance_decoded_once(self):
+        from confadapt.report import stratified_eval
+
+        class Counting(_EchoModel):
+            encoded = 0
+
+            def forward_encoder(self, features, lens):
+                self.encoded += 1
+                return super().forward_encoder(features, lens)
+
+        model = Counting()
+        rec = stratified_eval(model, self._corpus(), "test")
+        assert model.encoded == rec["n_total"] == 5
+
 
 class TestSweep:
     def test_failed_arm_does_not_abort_others(self, workspace, tmp_path):

@@ -109,6 +109,10 @@ class TestCheckpointRoundTrip:
             bad.write_bytes(blob.replace(old, new))
             with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt"):
                 Checkpoint.load(bad)
+        # a model file without its arch section
+        bad.write_bytes(blob.replace(b"arch", b"arcX", 1))
+        with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt.*model.*'arch'"):
+            Checkpoint.load(bad)
         # a logits group with fewer or more entries than its choices
         logits = {f"{k[0]}.{k[1]}.{k[2]}": np.zeros(len(c)) for k, c in SPACE.groups()}
         for length in (1, 3):
@@ -117,6 +121,35 @@ class TestCheckpointRoundTrip:
                        logits_meta={"temperature": 1.0}).save(bad)
             with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt.*enc.0.fd"):
                 Checkpoint.load(bad)
+        # a supernet file without its logits section, or with a logits group
+        # renamed away
+        Checkpoint(kind="supernet", space=SPACE, weights=weights, logits=logits,
+                   logits_meta={"temperature": 1.0}).save(good)
+        blob = good.read_bytes()
+        assert blob.count(b"enc.0.fd") == 1
+        for old, new, what in ((b"logits", b"logitX", "supernet.*'logits'"),
+                               (b"enc.0.fd", b"enc.0.fX", "enc.0.fd is missing")):
+            bad.write_bytes(blob.replace(old, new, 1))
+            with pytest.raises(IncompatibleCheckpointError, match=f"bad.ckpt.*{what}"):
+                Checkpoint.load(bad)
+
+    def test_missing_or_misshapen_weight_raises_one_error(self, corpora, tmp_path):
+        weights = {n: p.data for n, p in ConformerSupernet(SPACE, seed=0).params.items()}
+        logits = {f"{k[0]}.{k[1]}.{k[2]}": np.zeros(len(c)) for k, c in SPACE.groups()}
+        arch = DerivedArch.maximal(SPACE)
+        name = "enc.0.attn.wo"
+        missing = {n: w for n, w in weights.items() if n != name}
+        misshapen = dict(weights, **{name: weights[name][:-1]})
+        for bad, message in ((missing, f"checkpoint is missing parameter {name}"),
+                             (misshapen, f"checkpoint parameter {name}: shape")):
+            model = Checkpoint(kind="model", space=SPACE, weights=bad, arch=arch)
+            with pytest.raises(IncompatibleCheckpointError, match=message):
+                model_from_checkpoint(model)
+            supernet = Checkpoint(kind="supernet", space=SPACE, weights=bad, logits=logits,
+                                  logits_meta={"temperature": 1.0})
+            with pytest.raises(IncompatibleCheckpointError, match=message):
+                derive_model(supernet, corpora["source"], cfg("d", "derive", epochs=0),
+                             tmp_path / "m.ckpt")
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

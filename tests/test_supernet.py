@@ -32,6 +32,13 @@ SPACE = ArchSpace(
 )
 # separate self- and cross-attention groups in every decoder block
 SPLIT_SPACE = replace(SPACE, split_decoder_attention=True, decoder_blocks=2)
+# the default ArchSpace grid's choice counts (4 widths, 3 head counts, 4 head
+# dims, 3 kernels) at a width small enough to sum every branch on the tape
+GRID_SPACE = ArchSpace(
+    model_dim=8, feat_dim=4, vocab_size=6, encoder_blocks=1, decoder_blocks=1,
+    ff_choices=(4, 8, 12, 16), head_choices=(1, 2, 3), head_dim_choices=(1, 2, 3, 4),
+    kernel_choices=(3, 5, 7),
+)
 
 
 def rand_batch(space, b=2, t=17, l=3):
@@ -106,42 +113,123 @@ def reference_sliced_weights(net, arch):
     return out
 
 
+def randomized(space, seed):
+    """A supernet whose every parameter, biases and norms included, is drawn
+    at random, so that no term of a mixture vanishes."""
+    net = ConformerSupernet(space, seed=seed)
+    draw = np.random.default_rng(seed)
+    for p in net.params.values():
+        p.data[...] = draw.normal(scale=0.5, size=p.shape)
+    return net
+
+
+def weighted_sum(terms):
+    out = None
+    for t in terms:
+        out = t if out is None else out + t
+    return out
+
+
+def mixing_weights(n, draw):
+    return Tensor(draw.dirichlet(np.ones(n)), requires_grad=True)
+
+
+def assert_same_on_tape(fn, oracle, leaves, seed, atol=1e-12):
+    """``fn`` and ``oracle`` agree in output and in the gradient of every
+    leaf under one random upstream gradient."""
+    results = []
+    for f in (fn, oracle):
+        for t in leaves:
+            t.zero_grad()
+        out = f()
+        upstream = np.random.default_rng(seed).normal(size=out.shape)
+        backward((out * Tensor(upstream)).sum())
+        results.append((out.data, [t.grad.copy() for t in leaves]))
+    (got, got_grads), (expect, expect_grads) = results
+    np.testing.assert_allclose(got, expect, rtol=0, atol=atol)
+    for i, (g, e) in enumerate(zip(got_grads, expect_grads)):
+        np.testing.assert_allclose(g, e, rtol=0, atol=atol, err_msg=f"leaf {i}")
+
+
+def padded_input(space, draw, b=2, t=7):
+    """Random (b, t, model_dim) input, trailing frames of the second row zeroed."""
+    x = draw.normal(size=(b, t, space.model_dim))
+    x[1, t - 2:] = 0.0
+    return Tensor(x, requires_grad=True)
+
+
 class TestMixingLinearity:
+    """Each mixed sub-module equals the on-tape weighted sum of its concrete
+    branches, in output and in the gradients of its weights, its input and
+    its mixing weights. The feed-forward and attention output biases enter
+    once, outside the mixture; the conv output bias is mixed like the rest."""
+
     def test_ff_mixed_equals_branch_combination(self, net):
-        ff = net.enc_blocks[0].ff1
-        x = Tensor(rng.normal(size=(2, 5, SPACE.model_dim)))
-        lam = np.array([0.3, 0.7])
-        mixed = ff(x, Tensor(lam))
-        expect = sum(lam[i] * ff(x, c).data for i, c in enumerate(ff.choices))
-        np.testing.assert_allclose(mixed.data, expect, atol=1e-9)
+        space = net.space
+        draw = np.random.default_rng(21)
+        ff = randomized(space, 1).enc_blocks[0].ff1
+        for seed in range(3):
+            x = padded_input(space, draw)
+            lam = mixing_weights(len(ff.choices), draw)
+            assert_same_on_tape(
+                lambda: ff(x, lam),
+                lambda: weighted_sum((ff(x, c) - ff.b2) * lam[i]
+                                     for i, c in enumerate(ff.choices)) + ff.b2,
+                [x, lam, ff.w1, ff.b1, ff.w2, ff.b2], seed)
 
     def test_conv_uniform_mix_is_mean_of_kernels(self, net):
-        conv = net.enc_blocks[0].conv
-        x = Tensor(rng.normal(size=(2, 7, SPACE.model_dim)))
-        lam = np.full(len(conv.choices), 1.0 / len(conv.choices))
-        mixed = conv(x, Tensor(lam))
-        expect = sum(conv(x, c).data for c in conv.choices) / len(conv.choices)
-        np.testing.assert_allclose(mixed.data, expect, atol=1e-9)
+        space = net.space
+        draw = np.random.default_rng(22)
+        conv = randomized(space, 2).enc_blocks[0].conv
+        n = len(conv.choices)
+        lams = [Tensor(np.full(n, 1.0 / n), requires_grad=True)]
+        lams += [mixing_weights(n, draw) for _ in range(3)]
+        weights = [conv.pw1, conv.pb1, conv.dw, conv.db, conv.ln.g, conv.ln.b,
+                   conv.pw2, conv.pb2]
+        for seed, lam in enumerate(lams):
+            x = padded_input(space, draw)
+            assert_same_on_tape(
+                lambda: conv(x, lam),
+                lambda: weighted_sum(conv(x, c) * lam[i] for i, c in enumerate(conv.choices)),
+                [x, lam] + weights, seed)
 
     def test_attention_mixed_equals_grid_combination(self, net):
-        att = net.enc_blocks[1].attn
-        x = Tensor(rng.normal(size=(2, 6, SPACE.model_dim)))
-        lam_h = np.array([0.25, 0.75])
-        lam_a = np.array([0.6, 0.4])
-        mixed = att(x, x, Tensor(lam_h), Tensor(lam_a))
-        expect = np.zeros_like(mixed.data)
-        for hi, h in enumerate(att.h_choices):
-            for ai, a in enumerate(att.a_choices):
-                expect += lam_h[hi] * lam_a[ai] * att(x, x, h, a).data
-        np.testing.assert_allclose(mixed.data, expect, atol=1e-9)
+        space = net.space
+        draw = np.random.default_rng(23)
+        model = randomized(space, 3)
+        dec = model.dec_blocks[0]
+        t_q, t_kv = 5, 7
+        key_pad = np.arange(t_kv)[None, :] >= np.array([[t_kv], [t_kv - 3]])
+        # (module, query length, key length, key padding, causal)
+        cases = [(model.enc_blocks[0].attn, t_kv, t_kv, key_pad, False),
+                 (dec.self_attn, t_q, t_q, None, True),
+                 (dec.cross_attn, t_q, t_kv, key_pad, False)]
+        for seed, (att, tq, tk, pad, causal) in enumerate(cases * 2):
+            x_q = Tensor(draw.normal(size=(2, tq, space.model_dim)), requires_grad=True)
+            x_kv = x_q if tk == tq else Tensor(
+                draw.normal(size=(2, tk, space.model_dim)), requires_grad=True)
+            lam_h = mixing_weights(len(att.h_choices), draw)
+            lam_a = mixing_weights(len(att.a_choices), draw)
+
+            def oracle():
+                return weighted_sum(
+                    (att(x_q, x_kv, h, a, pad, causal) - att.bo) * (lam_h[hi] * lam_a[ai])
+                    for hi, h in enumerate(att.h_choices)
+                    for ai, a in enumerate(att.a_choices)) + att.bo
+
+            weights = [getattr(att, n) for n in att._IN + ("wo", "bo")]
+            assert_same_on_tape(
+                lambda: att(x_q, x_kv, lam_h, lam_a, pad, causal), oracle,
+                [x_q, x_kv, lam_h, lam_a] + weights, seed)
 
     def test_ff_zero_input_is_bias_image_average(self, net):
         # with zero input the hidden activation depends only on b1, so the
-        # mixture equals the average of the two branch outputs
+        # uniform mixture equals the average of the branch outputs
         ff = net.enc_blocks[0].ff1
-        x = Tensor(np.zeros((1, 3, SPACE.model_dim)))
-        mixed = ff(x, Tensor(np.array([0.5, 0.5])))
-        expect = 0.5 * (ff(x, 8).data + ff(x, 16).data)
+        n = len(ff.choices)
+        x = Tensor(np.zeros((1, 3, net.space.model_dim)))
+        mixed = ff(x, Tensor(np.full(n, 1.0 / n)))
+        expect = sum(ff(x, c).data for c in ff.choices) / n
         np.testing.assert_allclose(mixed.data, expect, atol=1e-12)
 
 
@@ -257,6 +345,20 @@ class _SplitSpace:
         return ConformerSupernet(SPLIT_SPACE, seed=5)
 
 
+class _GridSpace:
+    @pytest.fixture(scope="class")
+    def net(self):
+        return ConformerSupernet(GRID_SPACE, seed=5)
+
+
+class TestMixingLinearitySplit(_SplitSpace, TestMixingLinearity):
+    pass
+
+
+class TestMixingLinearityGrid(_GridSpace, TestMixingLinearity):
+    pass
+
+
 class TestOneHotEquivalenceSplit(_SplitSpace, TestOneHotEquivalence):
     pass
 
@@ -285,6 +387,32 @@ class TestGradientsFlow:
         assert any(n.startswith("front.") for n in touched)
         for p in net.named_parameters().values():
             p.zero_grad()
+
+
+def tape_nodes(roots):
+    """Number of recorded op nodes reachable from ``roots``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestTapeSize:
+    def test_mixed_forward_size_ignores_head_count_and_width_choices(self):
+        def size(space):
+            out = ConformerSupernet(space, seed=0).mixed_forward(
+                rand_batch(space), uniform_weights(space))
+            return tape_nodes([out.ctc_logprobs, out.dec_logits])
+
+        base = size(SPACE)
+        for variant in (replace(SPACE, head_choices=(2,)),
+                        replace(SPACE, head_choices=(1, 2, 3)),
+                        replace(SPACE, ff_choices=(16,)),
+                        replace(SPACE, ff_choices=(4, 8, 12, 16))):
+            assert size(variant) == base, variant
 
 
 class TestValidation:

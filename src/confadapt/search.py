@@ -120,13 +120,21 @@ def _require_finite(loss, which):
 
 
 def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits, rng):
-    """One decoupled optimization step.
+    """One decoupled optimization step, first order as in DARTS.
 
     First the shared weights take a gradient step on the training batch
-    with freshly sampled mixing weights (logits not updated), then the
-    logits take a step on the held-out batch through the penalized loss
-    (shared weights not updated). ``rng`` draws the Gumbel noise of both
-    samples. Returns both loss values.
+    with freshly sampled mixing weights, then the logits take a step on
+    the held-out batch through the penalized loss. Each half holds the
+    other parameter set fixed and records only the graph of what it
+    steps: the weight half draws its mixing weights under ``no_grad``, so
+    the logits stay off its tape; the logits half clears
+    ``requires_grad`` on the shared weights for its forward and backward
+    pass and restores it on the way out, also when the half raises.
+    ``rng`` draws the Gumbel noise of both samples. Returns both loss
+    values.
+
+    Gradients are cleared once, on entry. ``Adam.step`` clears what it
+    steps; the entry clear removes what a refused step left behind.
 
     Each loss is checked before its backward pass: a non-finite one raises
     ``FloatingPointError`` and its optimizer does not step, so a poisoned
@@ -136,19 +144,25 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
     if train_batch.size == 0 or heldout_batch.size == 0:
         raise ValueError("alternating_step: empty batch")
 
-    zero_all(task.named_parameters(), logits.groups)
-    lam = sample_weights(logits, rng=rng)
+    weights = task.named_parameters()
+    zero_all(weights, logits.groups)
+    with T.no_grad():
+        lam = sample_weights(logits, rng=rng)
     loss_w = task.batch_loss(train_batch, lam)
     _require_finite(loss_w, "training")
     backward(loss_w)
     opt_weights.step()
 
-    zero_all(task.named_parameters(), logits.groups)
-    lam = sample_weights(logits, rng=rng)
-    loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
-    _require_finite(loss_l, "held-out")
-    backward(loss_l)
+    frozen = [p for p in weights.values() if p.requires_grad]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        lam = sample_weights(logits, rng=rng)
+        loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
+        _require_finite(loss_l, "held-out")
+        backward(loss_l)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
     opt_logits.step()
-
-    zero_all(task.named_parameters(), logits.groups)
     return float(loss_w.item()), float(loss_l.item())

@@ -10,8 +10,13 @@ Constraints that keep the gradient rules small and testable:
   ``(d,)`` may combine elementwise with ``(..., d)``; anything else
   requires an explicit reshape,
 - an op result joins the autodiff graph iff some operand has
-  ``requires_grad`` and recording is enabled; ``backward`` consumes the
-  recorded graph, so each recorded forward supports one backward pass.
+  ``requires_grad`` and recording is enabled; it keeps only those
+  differentiable operands as its graph edges, so masks, constants and
+  frozen weights are never visited by ``backward``. Each gradient rule
+  checks ``requires_grad`` when it runs, so clearing the flag on a
+  weight until after ``backward`` freezes it,
+- ``backward`` consumes the recorded graph, so each recorded forward
+  supports one backward pass.
 
 Leaf tensors created with ``requires_grad=True`` hold a zero ``grad``
 buffer from the start, so a leaf that never contributes to a loss reads
@@ -139,12 +144,13 @@ def as_tensor(x):
 
 
 def _from_op(data, parents, backward_fn):
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+    if _GRAD_ENABLED:
+        parents = tuple(p for p in parents if p.requires_grad)
+        if parents:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward_fn
     return out
 
 

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from confadapt.optim import Adam
+from confadapt.optim import Adam, zero_all
+from confadapt.pipeline import SupernetTask
 from confadapt.search import (
     ArchLogits,
     TempSchedule,
@@ -15,10 +16,13 @@ from confadapt.search import (
     extract,
     penalized_loss,
     sample_weights,
+    _require_finite,
 )
 from confadapt.space import ArchSpace, DerivedArch, param_count
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import Tensor, backward
+
+from test_supernet import SPACE, rand_batch
 
 TOY_SPACE = ArchSpace(
     model_dim=4, feat_dim=4, vocab_size=6, encoder_blocks=1, decoder_blocks=1,
@@ -316,3 +320,130 @@ class TestAlternatingStep:
         assert lam[0] > 0.9
         # and the trainable weight moved toward its optimum
         assert abs(task.w.item() - 1.0) < 3.0
+
+
+def reference_alternating_step(train_batch, heldout_batch, task, logits, opt_weights,
+                               opt_logits, rng):
+    """Full-backward oracle for ``alternating_step``: both halves
+    differentiate every parameter, and three ``zero_all`` calls clear the
+    gradients a half does not step."""
+    if train_batch.size == 0 or heldout_batch.size == 0:
+        raise ValueError("alternating_step: empty batch")
+
+    zero_all(task.named_parameters(), logits.groups)
+    lam = sample_weights(logits, rng=rng)
+    loss_w = task.batch_loss(train_batch, lam)
+    _require_finite(loss_w, "training")
+    backward(loss_w)
+    opt_weights.step()
+
+    zero_all(task.named_parameters(), logits.groups)
+    lam = sample_weights(logits, rng=rng)
+    loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
+    _require_finite(loss_l, "held-out")
+    backward(loss_l)
+    opt_logits.step()
+
+    zero_all(task.named_parameters(), logits.groups)
+    return float(loss_w.item()), float(loss_l.item())
+
+
+class SpyTask(TwoBranchTask):
+    """Records, per ``batch_loss`` call, whether the mixing weights and the
+    shared weight are differentiable; raises ``ValueError`` on call
+    ``fail_on`` and scales the loss by ``batch.scale`` when a batch has one."""
+
+    def __init__(self, fail_on=None):
+        super().__init__(("enc", 0, "ck"), np.array([1.0, 2.0]))
+        self.fail_on = fail_on
+        self.seen = []
+
+    def batch_loss(self, batch, lam):
+        self.seen.append((lam[self.key].requires_grad, self.w.requires_grad))
+        if len(self.seen) == self.fail_on:
+            raise ValueError("spy: refused batch")
+        return super().batch_loss(batch, lam) * getattr(batch, "scale", 1.0)
+
+
+def _state(task, logits, ow, ol, rng):
+    """Everything a step may change, as bytes."""
+    return (
+        {n: p.data.tobytes() for n, p in task.named_parameters().items()},
+        {k: v.data.tobytes() for k, v in logits.groups.items()},
+        [({n: a.tobytes() for n, a in opt.m.items()},
+          {n: a.tobytes() for n, a in opt.v.items()}, opt.t) for opt in (ow, ol)],
+        rng.bit_generator.state,
+    )
+
+
+class TestEachHalfStepsOnlyItsOwnSet:
+    def _run(self, task, heldout):
+        logits = toy_logits(eta=0.1)
+        ow, ol = Adam(task.named_parameters(), 1e-2), Adam(logits.named_parameters(), 2e-2)
+        return alternating_step(_dummy_batch(), heldout, task, logits, ow, ol,
+                                rng=np.random.default_rng(9))
+
+    def _assert_weights_restored_and_clear(self, task):
+        assert task.w.requires_grad
+        assert task.w.grad.tobytes() == np.zeros_like(task.w.data).tobytes()
+
+    def test_each_half_differentiates_only_what_it_steps(self):
+        task = SpyTask()
+        self._run(task, _dummy_batch())
+        # weight half: logits off the tape; logits half: shared weights frozen
+        assert task.seen == [(False, True), (True, False)]
+        self._assert_weights_restored_and_clear(task)
+
+    def test_weights_restored_when_held_out_loss_is_not_finite(self):
+        task = SpyTask()
+        with pytest.raises(FloatingPointError, match="held-out"):
+            self._run(task, SimpleNamespace(size=1, scale=np.nan))
+        assert task.seen == [(False, True), (True, False)]
+        self._assert_weights_restored_and_clear(task)
+
+    def test_weights_restored_when_held_out_half_raises(self):
+        task = SpyTask(fail_on=2)
+        with pytest.raises(ValueError, match="refused"):
+            self._run(task, _dummy_batch())
+        assert task.seen == [(False, True), (True, False)]
+        self._assert_weights_restored_and_clear(task)
+
+    def test_entry_clear_drops_a_refused_steps_gradient(self):
+        def setup():
+            task = TwoBranchTask(("enc", 0, "ck"), np.array([1.0, 2.0]))
+            logits = toy_logits(eta=0.1)
+            return (task, logits, Adam(task.named_parameters(), 1e-2),
+                    Adam(logits.named_parameters(), 2e-2), np.random.default_rng(9))
+
+        clean, poisoned = setup(), setup()
+        task, _, ow, _, _ = poisoned
+        task.w.grad[...] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            ow.step()
+        assert np.isinf(task.w.grad).all()
+        got = alternating_step(_dummy_batch(), _dummy_batch(), *poisoned[:4], rng=poisoned[4])
+        want = alternating_step(_dummy_batch(), _dummy_batch(), *clean[:4], rng=clean[4])
+        assert got == want
+        assert _state(*poisoned) == _state(*clean)
+
+
+class TestStepMatchesFullBackwardReference:
+    def test_three_supernet_steps_are_bitwise_equal(self):
+        draw = np.random.default_rng(3)
+        batches = [(rand_batch(SPACE, draw=draw), rand_batch(SPACE, draw=draw)) for _ in range(3)]
+
+        def setup():
+            task = SupernetTask(ConformerSupernet(SPACE, seed=5))
+            logits = ArchLogits(SPACE, temperature=0.7, eta=1e-4)
+            return (task, logits, Adam(task.named_parameters(), 1e-2),
+                    Adam(logits.named_parameters(), 3e-2), np.random.default_rng(9))
+
+        new, ref, fresh = setup(), setup(), _state(*setup())
+        for train, heldout in batches:
+            got = alternating_step(train, heldout, *new[:4], rng=new[4])
+            want = reference_alternating_step(train, heldout, *ref[:4], rng=ref[4])
+            assert got == want
+        after = _state(*new)
+        assert after == _state(*ref)
+        # both sets moved, so the comparison covers both halves
+        assert after[0] != fresh[0] and after[1] != fresh[1]

@@ -41,15 +41,15 @@ GRID_SPACE = ArchSpace(
 )
 
 
-def rand_batch(space, b=2, t=17, l=3):
-    feats = rng.normal(size=(b, t, space.feat_dim))
+def rand_batch(space, b=2, t=17, l=3, draw=rng):
+    feats = draw.normal(size=(b, t, space.feat_dim))
     lens = np.array([t] + [t - 4] * (b - 1))
     tokens_in = np.full((b, l + 1), EOS_ID, dtype=np.int64)
     tokens_in[:, 0] = SOS_ID
     seqs = []
     for i in range(b):
         n = l if i == 0 else l - 1
-        s = rng.integers(3, space.vocab_size, size=n)
+        s = draw.integers(3, space.vocab_size, size=n)
         tokens_in[i, 1 : 1 + n] = s
         seqs.append(s)
     return Batch(feats, lens, tokens_in, seqs)

@@ -151,6 +151,26 @@ def _rand(*shape):
     return rng.uniform(-2.0, 2.0, size=shape)
 
 
+class TestTapeEdges:
+    """An op result keeps only its differentiable operands as graph edges."""
+
+    def test_mask_operand_leaves_the_tape(self):
+        mask = Tensor((rng.random((3, 4)) < 0.5).astype(np.float64))
+        x = Tensor(_rand(3, 4), requires_grad=True)
+        assert (x * mask)._parents == (x,)
+        check_grads(lambda x: ((x * mask) * (x * mask)).sum(), [_rand(3, 4)])
+
+    def test_frozen_weight_leaves_the_tape(self):
+        w = Tensor(_rand(4, 2), requires_grad=True)
+        w.requires_grad = False
+        x = Tensor(_rand(3, 4), requires_grad=True)
+        y = x @ w
+        assert y._parents == (x,)
+        backward((y * y).sum())
+        assert (w.grad == 0).all()
+        check_grads(lambda x: ((x @ w) * (x @ w)).sum(), [_rand(3, 4)])
+
+
 class TestGradChecks:
     """Every forward op against the central-difference oracle."""
 

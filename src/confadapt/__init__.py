@@ -27,7 +27,6 @@ from .losses import (
     ctc_loss,
     greedy_decode,
     hybrid_loss,
-    token_error_rate,
 )
 from .data import Corpus, DomainSpec, Utterance, default_domain_pair, generate, median_split
 from .checkpoint import Checkpoint
@@ -48,7 +47,6 @@ __all__ = [
     "ArchLogits", "TempSchedule", "alternating_step", "expected_weights", "extract",
     "penalized_loss", "sample_weights",
     "TokenSeq", "attention_ce_loss", "ctc_loss", "greedy_decode", "hybrid_loss",
-    "token_error_rate",
     "Corpus", "DomainSpec", "Utterance", "default_domain_pair", "generate", "median_split",
     "Checkpoint",
     "StageConfig", "adapt_supernet", "derive_model", "parameter_finetune",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import struct
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +116,15 @@ class Utterance:
     split: str
     features: np.ndarray
     tokens: np.ndarray
-    duration: int = field(default=0)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.duration = int(self.features.shape[0])
+
+    @property
+    def duration(self):
+        """Frame count of the features."""
+        return int(self.features.shape[0])
 
 
 class Corpus:
@@ -256,11 +259,11 @@ def _sample_tokens(spec, n, rng):
     return toks + FIRST_TOKEN_ID
 
 
-def _gen_utterance(spec, proto, shift, scale, rng, max_retries=100):
+def _gen_utterance(spec, proto, shift, scale, rng):
     # one segment per token; the nominal segment length comes from the
     # spec mean divided by the mean token count, stretched per utterance
     seg_base = spec.mean_frames / ((spec.tokens_min + spec.tokens_max) / 2.0)
-    for _ in range(max_retries):
+    for _ in range(100):
         n = int(rng.integers(spec.tokens_min, spec.tokens_max + 1))
         stretch = 1.0 + rng.uniform(-spec.frames_jitter, spec.frames_jitter)
         seg = int(round(seg_base * stretch))
@@ -317,10 +320,7 @@ def generate(spec, counts):
     return Corpus(spec.domain, spec.vocab_size, spec.feat_dim, splits, spec.to_json())
 
 
-def default_domain_pair(feat_dim=16, vocab_tokens=10, grammar_seed=1234,
-                        source_mean=120.0, target_mean=12.0,
-                        source_seed=11, target_seed=12,
-                        source_noise=0.05, target_noise=0.1):
+def default_domain_pair(feat_dim=16, vocab_tokens=10, source_seed=11, target_seed=12):
     """Source (long, clean) and target (short, warped channels) specs.
 
     The target holds isolated tokens with widely spread durations and a
@@ -332,20 +332,20 @@ def default_domain_pair(feat_dim=16, vocab_tokens=10, grammar_seed=1234,
     """
     source = DomainSpec(
         domain="source", feat_dim=feat_dim, vocab_tokens=vocab_tokens,
-        mean_frames=source_mean, frames_jitter=0.1, tokens_min=4, tokens_max=8,
-        tempo=1.0, noise_std=source_noise,
-        grammar_seed=grammar_seed, seed=source_seed,
+        mean_frames=120.0, frames_jitter=0.1, tokens_min=4, tokens_max=8,
+        tempo=1.0, noise_std=0.05,
+        grammar_seed=1234, seed=source_seed,
     )
     f = np.arange(feat_dim)
     shift = 0.8 * np.cos(2 * np.pi * f / feat_dim)
     scale = 0.6 + 0.45 * np.sin(2 * np.pi * f / feat_dim + 1.0)
     target = DomainSpec(
         domain="target", feat_dim=feat_dim, vocab_tokens=vocab_tokens,
-        mean_frames=target_mean, frames_jitter=0.5, tokens_min=1, tokens_max=1,
-        tempo=2.0, noise_std=target_noise,
+        mean_frames=12.0, frames_jitter=0.5, tokens_min=1, tokens_max=1,
+        tempo=2.0, noise_std=0.1,
         channel_shift=tuple(shift), channel_scale=tuple(scale),
         warp_length_grading=1.0,
-        grammar_seed=grammar_seed, seed=target_seed,
+        grammar_seed=1234, seed=target_seed,
     )
     return source, target
 
@@ -397,10 +397,11 @@ def make_batch(utterances):
     return Batch(feats, lens, tokens_in, seqs)
 
 
-def iter_batches(utterances, batch_size, rng=None):
-    """Yield batches; shuffled deterministically when an rng is given."""
+def iter_batches(utterances, batch_size, rng):
+    """Yield batches of ``batch_size`` utterances (the last may be smaller)
+    in an order that ``rng`` shuffles, so the same generator state gives
+    the same batches."""
     order = np.arange(len(utterances))
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     for i in range(0, len(order), batch_size):
         yield make_batch([utterances[j] for j in order[i : i + batch_size]])

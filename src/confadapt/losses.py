@@ -1,4 +1,4 @@
-"""Hybrid CTC + attention training objective, greedy decoding, and TER.
+"""Hybrid CTC + attention training objective, greedy decoding, and edit distance.
 
 Token id conventions used across the package: id 0 is the CTC blank,
 ids 1 and 2 are the decoder start/end sentinels, real tokens start at 3.
@@ -18,6 +18,8 @@ BLANK_ID = 0
 SOS_ID = 1
 EOS_ID = 2
 FIRST_TOKEN_ID = 3
+# share of the CTC objective in the hybrid loss; attention takes the rest
+CTC_WEIGHT = 0.3
 
 
 class InfeasibleAlignmentError(ValueError):
@@ -37,7 +39,7 @@ class TokenSeq:
 
 
 def _ref_ids(reference):
-    ids = reference.ids if isinstance(reference, TokenSeq) else tuple(int(i) for i in reference)
+    ids = tuple(int(i) for i in reference)
     if any(i == BLANK_ID for i in ids):
         raise ValueError("reference sequences must not contain the blank id")
     return ids
@@ -173,18 +175,9 @@ def attention_ce_loss(dec_logits, references, smoothing=0.1):
     return (lp * Tensor(q)).sum(axis=(1, 2)) * Tensor(-1.0 / lens)
 
 
-def hybrid_loss(ctc, aed, weight=0.3):
-    """Interpolate the CTC and attention objectives: w*ctc + (1-w)*aed."""
-    w = float(weight)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"hybrid_loss: weight must be in [0, 1], got {w}")
-    ctc = T.as_tensor(ctc)
-    aed = T.as_tensor(aed)
-    if w == 0.0:
-        return aed
-    if w == 1.0:
-        return ctc
-    return ctc * w + aed * (1.0 - w)
+def hybrid_loss(ctc, aed):
+    """Interpolate the CTC and attention objectives: w*ctc + (1-w)*aed, w = CTC_WEIGHT."""
+    return ctc * CTC_WEIGHT + aed * (1.0 - CTC_WEIGHT)
 
 
 def hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs):
@@ -235,10 +228,3 @@ def edit_distance(a, b):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ai != bj))
         prev = cur
     return prev[len(b)]
-
-
-def token_error_rate(hyp, ref):
-    """Edit distance divided by reference length."""
-    h = hyp.ids if isinstance(hyp, TokenSeq) else tuple(hyp)
-    r = ref.ids if isinstance(ref, TokenSeq) else tuple(ref)
-    return edit_distance(h, r) / max(len(r), 1)

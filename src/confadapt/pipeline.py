@@ -73,12 +73,21 @@ class StageConfig:
     patience: int = None
 
     KINDS = ("pretrain", "adapt", "derive", "finetune")
+    INITS = ("inherit", "fresh")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise RecipeError(f"stage {self.name!r}: unknown kind {self.kind!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise RecipeError(f"stage {self.name!r}: bad epochs/batch_size")
+        if self.init not in self.INITS:
+            raise RecipeError(f"stage {self.name!r}: init must be one of {self.INITS}, "
+                              f"got {self.init!r}")
+        if not self.eta >= 0:
+            raise RecipeError(f"stage {self.name!r}: eta must be nonnegative, got {self.eta}")
+        if not self.t_start >= self.t_end > 0:
+            raise RecipeError(f"stage {self.name!r}: need t_start >= t_end > 0, "
+                              f"got {self.t_start} and {self.t_end}")
 
 
 def sub_seed(seed, tag):
@@ -107,11 +116,11 @@ class SupernetTask:
         return hybrid_batch_loss(out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
 
 
-def default_task_factory(space, seed, weights=None):
-    net = ConformerSupernet(space, seed=seed)
-    if weights is not None:
-        net.load_weights(weights)
-    return SupernetTask(net)
+def supernet_from_checkpoint(ckpt):
+    ckpt.require_kind("supernet", "supernet_from_checkpoint")
+    net = ConformerSupernet(ckpt.space)
+    net.load_weights(ckpt.weights)
+    return net
 
 
 def model_from_checkpoint(ckpt):
@@ -280,23 +289,17 @@ def _lineage_entry(cfg, seed):
 # ---------------------------------------------------------------------
 
 
-def pretrain_supernet(corpus, cfg, space, out_path, seed=0, task_factory=None):
+def pretrain_supernet(corpus, cfg, space, out_path, seed=0):
     """Train a fresh supernet on the source corpus; emit its checkpoint."""
-    factory = task_factory or default_task_factory
-    task = factory(space, sub_seed(seed, "init"))
+    task = SupernetTask(ConformerSupernet(space, seed=sub_seed(seed, "init")))
     logits = ArchLogits(space, temperature=cfg.t_start, eta=cfg.eta)
     lineage = [_lineage_entry(cfg, seed)]
     return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
 
 
-def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0, space=None):
+def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0):
     """Continue alternating optimization from a supernet checkpoint."""
-    ckpt.require_kind("supernet", "adapt_supernet")
-    if space is not None and space != ckpt.space:
-        raise IncompatibleCheckpointError(
-            "adapt_supernet: configured space differs from the checkpoint space"
-        )
-    task = default_task_factory(ckpt.space, sub_seed(seed, "init"), weights=ckpt.weights)
+    task = SupernetTask(supernet_from_checkpoint(ckpt))
     logits = logits_from_checkpoint(ckpt, eta=cfg.eta)
     lineage = list(ckpt.lineage) + [_lineage_entry(cfg, seed)]
     return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
@@ -304,15 +307,9 @@ def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0, space=None):
 
 def derive_model(ckpt, corpus, cfg, out_path, seed=0):
     """Extract the 1-best arch, materialize it, train it on the corpus."""
-    ckpt.require_kind("supernet", "derive_model")
-    supernet = ConformerSupernet(ckpt.space, seed=0)
-    supernet.load_weights(ckpt.weights)
-    logits = logits_from_checkpoint(ckpt)
-    arch = extract(logits)
-    if cfg.init == "inherit":
-        model = supernet.materialize(arch, init="inherit")
-    else:
-        model = supernet.materialize(arch, init="fresh", seed=sub_seed(seed, "fresh"))
+    supernet = supernet_from_checkpoint(ckpt)
+    arch = extract(logits_from_checkpoint(ckpt))
+    model = supernet.materialize(arch, init=cfg.init, seed=sub_seed(seed, "fresh"))
     lineage = list(ckpt.lineage) + [_lineage_entry(cfg, seed)]
     lineage[-1]["extracted_arch"] = arch.to_json()
     return _train_stage(model, corpus, cfg, seed, out_path, lineage)
@@ -320,7 +317,6 @@ def derive_model(ckpt, corpus, cfg, out_path, seed=0):
 
 def parameter_finetune(ckpt, corpus, cfg, out_path, seed=0):
     """Standard training of all weights of a derived model on a corpus."""
-    ckpt.require_kind("model", "parameter_finetune")
     model = model_from_checkpoint(ckpt)
     if cfg.reinit_output:
         model.reinit_output_layers(np.random.default_rng(sub_seed(seed, "reinit")))
@@ -391,8 +387,7 @@ def run_recipe(stages, corpora, out_dir, space, seed=0):
         if cfg.kind == "pretrain":
             ckpt, history = pretrain_supernet(corpus, cfg, space, out_path, seed=stage_seed)
         elif cfg.kind == "adapt":
-            ckpt, history = adapt_supernet(in_ckpt, corpus, cfg, out_path,
-                                           seed=stage_seed, space=space)
+            ckpt, history = adapt_supernet(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
         elif cfg.kind == "derive":
             ckpt, history = derive_model(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
         else:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .checkpoint import Checkpoint
 from .data import median_split
 from .pipeline import error_rate, model_from_checkpoint, run_recipe, utterance_errors
-from .space import DEC_GROUPS_SHARED, DEC_GROUPS_SPLIT, ENC_GROUPS, param_count
+from .space import DEC_GROUPS_SHARED, DEC_GROUPS_SPLIT, ENC_GROUPS
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -134,7 +134,7 @@ def sweep(eta_list, stages, corpora, out_dir, space, seed=0, eval_corpus="target
             raise ValueError(f"sweep: penalty factors must be nonnegative, got {eta}")
         arm_stages = []
         for st in rest:
-            st2 = replace(st, eta=eta) if st.kind in ("pretrain", "adapt") else replace(st)
+            st2 = replace(st, eta=eta) if st.kind in ("pretrain", "adapt") else st
             if shared_input is not None and st2.input is not None and not Path(st2.input).exists():
                 head_name = stages[0].output or stages[0].name
                 if st2.input == head_name:

@@ -92,15 +92,16 @@ def expected_weights(logits):
     return {key: T.softmax(vec, axis=-1) for key, vec in logits.groups.items()}
 
 
-def penalized_loss(task_loss, logits, eta=None):
-    """Task loss plus eta times the expected model size under the logits."""
-    e = logits.eta if eta is None else float(eta)
-    if e < 0:
-        raise ValueError(f"penalized_loss: penalty factor must be nonnegative, got {e}")
-    if e == 0.0:
+def penalized_loss(task_loss, logits):
+    """Task loss plus ``logits.eta`` times the expected model size under the logits.
+
+    With ``eta`` zero the task loss comes back as is, and the size is not
+    computed.
+    """
+    if logits.eta == 0.0:
         return task_loss
     size = expected_param_count(logits.space, expected_weights(logits))
-    return task_loss + size * e
+    return task_loss + size * logits.eta
 
 
 def extract(logits):

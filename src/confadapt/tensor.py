@@ -186,8 +186,6 @@ def backward(loss):
         raise TypeError(f"backward expects a Tensor, got {type(loss).__name__}")
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss._consumed:
-        raise RuntimeError("backward: tape already consumed by a previous backward pass")
     if not loss.requires_grad:
         raise RuntimeError("backward: loss is not on a live tape (no recorded operations)")
 
@@ -203,7 +201,7 @@ def backward(loss):
         if id(node) in visited:
             continue
         visited.add(id(node))
-        if node._backward is not None and node._consumed:
+        if node._consumed:
             raise RuntimeError("backward: tape already consumed by a previous backward pass")
         stack.append((node, True))
         for p in node._parents:
@@ -218,7 +216,7 @@ def backward(loss):
             fn(node.grad if node.grad is not None else np.zeros_like(node.data))
             node._backward = None
             node._parents = ()
-        node._consumed = True
+            node._consumed = True
 
 
 # ---------------------------------------------------------------------
@@ -555,13 +553,14 @@ def layer_norm(x, gain, bias, eps=1e-6):
 # ---------------------------------------------------------------------
 
 
-def depthwise_conv1d(x, kernel, bias=None):
-    """Per-channel 1-D convolution with same padding, center aligned.
+def depthwise_conv1d(x, kernel, bias):
+    """Per-channel 1-D convolution with same padding, center aligned, plus bias.
 
     ``x`` is (batch, time, channels), ``kernel`` is (width, channels) with
-    odd width, so every width yields the input's sequence length.
+    odd width, so every width yields the input's sequence length; ``bias``
+    is (channels,).
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 2:
         raise ShapeError(
             f"depthwise_conv1d: expected input (B,T,C) and kernel (K,C), "
@@ -574,10 +573,8 @@ def depthwise_conv1d(x, kernel, bias=None):
         raise ShapeError(
             f"depthwise_conv1d: shapes {x.data.shape} and {kernel.data.shape} do not conform"
         )
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (c,):
-            raise ShapeError(f"depthwise_conv1d: bias shape {bias.data.shape} != {(c,)}")
+    if bias.data.shape != (c,):
+        raise ShapeError(f"depthwise_conv1d: bias shape {bias.data.shape} != {(c,)}")
     b, t, _ = x.data.shape
     p = k // 2
     xp = np.zeros((b, t + 2 * p, c))
@@ -585,8 +582,7 @@ def depthwise_conv1d(x, kernel, bias=None):
     data = np.zeros((b, t, c))
     for j in range(k):
         data += xp[:, j:j + t, :] * kernel.data[j]
-    if bias is not None:
-        data += bias.data
+    data += bias.data
 
     def bw(g):
         if kernel.requires_grad:
@@ -598,11 +594,10 @@ def depthwise_conv1d(x, kernel, bias=None):
             for j in range(k):
                 gp[:, j:j + t, :] += g * kernel.data[j]
             _accumulate(x, gp[:, p:p + t, :])
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 1)))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _from_op(data, parents, bw)
+    return _from_op(data, (x, kernel, bias), bw)
 
 
 def embedding(table, ids):

@@ -166,10 +166,14 @@ class TestConfigValidation:
         assert "schema_version" in json.loads(capsys.readouterr().err.strip())["field"]
 
     def test_bad_stage_kind(self, tmp_path, capsys):
-        cfg = base_config(tmp_path)
-        cfg["stages"][0]["kind"] = "banana"
-        assert main(["run", "-c", write_config(tmp_path, cfg)]) == 2
-        assert "stages.0" in json.loads(capsys.readouterr().err.strip())["field"]
+        # bad stage settings are rejected when the config loads, before
+        # any stage runs
+        for bad in ({"kind": "banana"}, {"init": "inherrit"}, {"eta": -0.1},
+                    {"t_end": 0.0}, {"t_start": 0.05, "t_end": 0.1}):
+            cfg = base_config(tmp_path)
+            cfg["stages"][0].update(bad)
+            assert main(["run", "-c", write_config(tmp_path, cfg)]) == 2, bad
+            assert "stages.0" in json.loads(capsys.readouterr().err.strip())["field"]
 
     def test_set_overrides_scalar(self, tmp_path):
         cfg = base_config(tmp_path)

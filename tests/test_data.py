@@ -82,8 +82,7 @@ class TestGenerate:
             assert abs(mean - spec.mean_frames) / spec.mean_frames < 0.10
 
     def test_source_target_length_ratio(self):
-        src, tgt = default_domain_pair(feat_dim=6, vocab_tokens=5,
-                                       source_mean=120.0, target_mean=12.0)
+        src, tgt = default_domain_pair(feat_dim=6, vocab_tokens=5)
         cs = generate(src, {"train": 200})
         ct = generate(tgt, {"train": 200})
         ms = np.mean([u.duration for u in cs.split("train")])

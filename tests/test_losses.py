@@ -21,8 +21,8 @@ from confadapt.losses import (
     greedy_decode,
     hybrid_batch_loss,
     hybrid_loss,
-    token_error_rate,
 )
+from confadapt.pipeline import error_rate
 from confadapt.tensor import ShapeError, Tensor, backward
 
 from util_grad import check_grads
@@ -406,25 +406,13 @@ class TestBatchedAttentionCE:
 
 class TestHybrid:
     def test_three_seven_weighting(self):
-        out = hybrid_loss(Tensor(1.0), Tensor(2.0), weight=0.3)
+        out = hybrid_loss(Tensor(1.0), Tensor(2.0))
         np.testing.assert_allclose(out.item(), 1.7, atol=1e-15)
 
-    def test_weight_zero_is_aed(self):
-        aed = Tensor(2.5)
-        assert hybrid_loss(Tensor(1.0), aed, weight=0.0) is aed
-
-    def test_weight_one_is_ctc(self):
-        ctc = Tensor(1.25)
-        assert hybrid_loss(ctc, Tensor(9.0), weight=1.0) is ctc
-
-    def test_weight_out_of_range(self):
-        with pytest.raises(ValueError, match="weight"):
-            hybrid_loss(Tensor(1.0), Tensor(1.0), weight=1.5)
-
     def test_monotone_in_each_component(self):
-        base = hybrid_loss(Tensor(1.0), Tensor(1.0), 0.3).item()
-        assert hybrid_loss(Tensor(2.0), Tensor(1.0), 0.3).item() > base
-        assert hybrid_loss(Tensor(1.0), Tensor(2.0), 0.3).item() > base
+        base = hybrid_loss(Tensor(1.0), Tensor(1.0)).item()
+        assert hybrid_loss(Tensor(2.0), Tensor(1.0)).item() > base
+        assert hybrid_loss(Tensor(1.0), Tensor(2.0)).item() > base
 
 
 class ScriptedDecoder:
@@ -500,23 +488,23 @@ def edit_distance_oracle(a, b):
 
 class TestTER:
     def test_identical(self):
-        assert token_error_rate(TokenSeq([3, 4, 5]), TokenSeq([3, 4, 5])) == 0.0
+        assert error_rate([(edit_distance([3, 4, 5], [3, 4, 5]), 3)]) == 0.0
 
     def test_one_substitution(self):
-        assert token_error_rate([3, 9, 5], [3, 4, 5]) == pytest.approx(1 / 3)
+        assert error_rate([(edit_distance([3, 9, 5], [3, 4, 5]), 3)]) == pytest.approx(1 / 3)
 
     def test_random_pairs_match_oracle(self):
         for _ in range(200):
             a = rng.integers(3, 8, size=rng.integers(0, 9)).tolist()
             b = rng.integers(3, 8, size=rng.integers(1, 9)).tolist()
             assert edit_distance(a, b) == edit_distance_oracle(a, b)
-            assert token_error_rate(a, b) == edit_distance_oracle(a, b) / len(b)
+            assert error_rate([(edit_distance(a, b), len(b))]) == edit_distance_oracle(a, b) / len(b)
 
     def test_insert_then_delete_consistent(self):
         ref = [3, 4, 5]
         hyp = [3, 4, 9, 5]  # one insertion
-        assert token_error_rate(hyp, ref) == pytest.approx(1 / 3)
-        assert token_error_rate(ref, hyp) == pytest.approx(1 / 4)
+        assert error_rate([(edit_distance(hyp, ref), len(ref))]) == pytest.approx(1 / 3)
+        assert error_rate([(edit_distance(ref, hyp), len(hyp))]) == pytest.approx(1 / 4)
 
 
 class TestCTCGradOnTape:

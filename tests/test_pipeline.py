@@ -20,7 +20,7 @@ from confadapt.pipeline import (
     sub_seed,
 )
 from confadapt.optim import Adam
-from confadapt.search import extract
+from confadapt.search import ArchLogits, extract
 from confadapt.space import ArchSpace, DerivedArch
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import Tensor
@@ -193,28 +193,24 @@ class TestPretrain:
         key = ("enc", 0, "ck")
         costs = np.array([1.0, 2.0])
 
-        def factory(space, seed, weights=None):
-            class ToyTask:
-                def __init__(self):
-                    self.space = space
-                    self.w = Tensor(np.array([4.0]), requires_grad=True)
-                    if weights is not None:
-                        self.w.data[...] = weights["w"]
+        class ToyTask:
+            space = SPACE
 
-                def named_parameters(self):
-                    return {"w": self.w}
+            def __init__(self):
+                self.w = Tensor(np.array([4.0]), requires_grad=True)
 
-                def batch_loss(self, batch, lam):
-                    branch = (lam[key] * Tensor(costs)).sum()
-                    return branch + ((self.w - 1.0) * (self.w - 1.0)).sum()
+            def named_parameters(self):
+                return {"w": self.w}
 
-            return ToyTask()
+            def batch_loss(self, batch, lam):
+                branch = (lam[key] * Tensor(costs)).sum()
+                return branch + ((self.w - 1.0) * (self.w - 1.0)).sum()
 
         path = tmp_path / "toy.ckpt"
-        ckpt, _ = pretrain_supernet(
-            corpora["source"],
-            cfg("p", "pretrain", epochs=40, lr_logits=1e-2, lr_weights=2e-2),
-            SPACE, path, seed=5, task_factory=factory,
+        stage = cfg("p", "pretrain", epochs=40, lr_logits=1e-2, lr_weights=2e-2)
+        ckpt, _ = pipeline._search_stage(
+            ToyTask(), ArchLogits(SPACE, temperature=stage.t_start),
+            corpora["source"], stage, 5, path, [],
         )
         logits = logits_from_checkpoint(ckpt)
         lam = np.exp(ckpt.logits["enc.0.ck"])
@@ -245,15 +241,21 @@ class TestAdapt:
             assert (ckpt.logits[name] == arr).all()
 
     def test_space_mismatch_rejected(self, pretrained, corpora, tmp_path):
+        # a recipe checks every input checkpoint against its configured
+        # space, whatever the stage kind
         other = ArchSpace(
             model_dim=16, feat_dim=6, vocab_size=9, encoder_blocks=1, decoder_blocks=1,
             ff_choices=(8, 32), head_choices=(1, 2), head_dim_choices=(4, 8),
             kernel_choices=(3, 5),
         )
-        with pytest.raises(IncompatibleCheckpointError, match="space"):
-            adapt_supernet(pretrained, corpora["target"],
-                           cfg("a", "adapt", corpus="target"), tmp_path / "x.ckpt",
-                           seed=2, space=other)
+        sn_path = tmp_path / "sn.ckpt"
+        pretrained.save(sn_path)
+        m_path = tmp_path / "m.ckpt"
+        derive_model(pretrained, corpora["source"], cfg("d", "derive", epochs=0), m_path, seed=3)
+        for stage in (cfg("a", "adapt", corpus="target", input=str(sn_path)),
+                      cfg("f", "finetune", corpus="target", input=str(m_path))):
+            with pytest.raises(IncompatibleCheckpointError, match="space"):
+                run_recipe([stage], corpora, tmp_path / "out", other, seed=2)
 
     def test_model_checkpoint_rejected(self, pretrained, corpora, tmp_path):
         dpath = tmp_path / "m.ckpt"

@@ -166,7 +166,7 @@ class TestPenalizedLoss:
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            penalized_loss(Tensor(1.0), toy_logits(), eta=-0.1)
+            ArchLogits(TOY_SPACE, eta=-0.1)
 
     def test_penalty_gradient_sign(self):
         # uniform weights: the cheaper candidate must be pushed up (negative

@@ -27,7 +27,7 @@ class TestForwardValues:
         # at interior positions
         x = Tensor(np.full((1, 9, 3), 2.5))
         k = Tensor(np.full((3, 3), 1 / 3))
-        out = T.depthwise_conv1d(x, k)
+        out = T.depthwise_conv1d(x, k, np.zeros(3))
         np.testing.assert_allclose(out.data[0, 1:-1, :], 2.5, atol=1e-12)
 
     def test_matmul_identity(self):
@@ -76,7 +76,7 @@ class TestErrors:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            T.depthwise_conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((4, 2))))
+            T.depthwise_conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((4, 2))), np.zeros(2))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -84,11 +84,17 @@ class TestErrors:
             backward(x * 2.0)
 
     def test_second_backward_raises(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        loss = (x * x).sum()
-        backward(loss)
-        with pytest.raises(RuntimeError, match="consumed"):
+        # reusing the loss itself, or any intermediate node of a consumed
+        # graph in a new loss, raises and leaves the leaf gradient as it was
+        for second in (lambda loss, y: loss, lambda loss, y: (y * 2.0).sum()):
+            x = Tensor(np.ones(3), requires_grad=True)
+            y = x * x
+            loss = y.sum()
             backward(loss)
+            grad = x.grad.copy()
+            with pytest.raises(RuntimeError, match="consumed"):
+                backward(second(loss, y))
+            np.testing.assert_array_equal(x.grad, grad)
 
     def test_backward_off_tape_raises(self):
         with pytest.raises(RuntimeError, match="tape"):

@@ -13,7 +13,10 @@ indices allowed, e.g. ``--set stages.0.epochs=3``).
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 1 other failures. Errors also emit one machine-parsable JSON record on
-stderr.
+stderr. An invalid configuration exits 2 before any stage runs: a
+``--set`` path that names no field, a bad stage setting, a system or
+sweep corpus other than source/target, a system or sweep split the
+corpus lacks, or a negative sweep penalty factor.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .search import extract
 from .space import ArchSpace
 
 SCHEMA_VERSION = 1
+CORPORA = ("source", "target")
 
 
 class ConfigError(ValueError):
@@ -54,6 +58,12 @@ def _check_keys(d, allowed, path, required=()):
     for r in required:
         if r not in d:
             raise ConfigError(f"missing required field {path}.{r}", field=f"{path}.{r}")
+
+
+def _check_corpus(name, field):
+    if name not in CORPORA:
+        raise ConfigError(f"{field}: corpus must be one of {CORPORA}, got {name!r}", field=field)
+    return name
 
 
 def _build(cls, d, path):
@@ -81,9 +91,9 @@ class RunConfig:
         self.data = None
         if "data" in raw:
             d = raw["data"]
-            _check_keys(d, ("dir", "source", "target"), "config.data", required=("dir",))
+            _check_keys(d, ("dir",) + CORPORA, "config.data", required=("dir",))
             self.data = {"dir": Path(d["dir"])}
-            for dom in ("source", "target"):
+            for dom in CORPORA:
                 if dom in d:
                     _check_keys(d[dom], ("spec", "counts"), f"config.data.{dom}",
                                 required=("spec", "counts"))
@@ -92,8 +102,7 @@ class RunConfig:
                     self.data[dom] = (spec, counts)
         self.space = None
         if "space" in raw:
-            space_raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw["space"].items()}
-            self.space = _build(ArchSpace, space_raw, "config.space")
+            self.space = _build(ArchSpace, raw["space"], "config.space")
         self.stages = []
         for i, st in enumerate(raw.get("stages", [])):
             self.stages.append(_build(StageConfig, st, f"config.stages.{i}"))
@@ -103,7 +112,8 @@ class RunConfig:
                         f"config.systems.{i}", required=("name", "checkpoint"))
             self.systems.append({
                 "name": s["name"], "checkpoint": s["checkpoint"],
-                "corpus": s.get("corpus", "target"), "split": s.get("split", "test"),
+                "corpus": _check_corpus(s.get("corpus", "target"), f"config.systems.{i}.corpus"),
+                "split": s.get("split", "test"),
             })
         self.sweep = None
         if "sweep" in raw:
@@ -111,40 +121,36 @@ class RunConfig:
                         "config.sweep", required=("eta",))
             self.sweep = {
                 "eta": [float(e) for e in raw["sweep"]["eta"]],
-                "eval_corpus": raw["sweep"].get("eval_corpus", "target"),
+                "eval_corpus": _check_corpus(raw["sweep"].get("eval_corpus", "target"),
+                                             "config.sweep.eval_corpus"),
                 "eval_split": raw["sweep"].get("eval_split", "test"),
             }
+            if not all(e >= 0 for e in self.sweep["eta"]):
+                raise ConfigError(f"config.sweep.eta: penalty factors must be nonnegative, "
+                                  f"got {self.sweep['eta']}", field="config.sweep.eta")
 
 
 def _apply_override(raw, spec_str):
     if "=" not in spec_str:
         raise ConfigError(f"--set needs path=value, got {spec_str!r}", field=spec_str)
     path, value = spec_str.split("=", 1)
-    parts = path.split(".")
+    *parents, leaf = path.split(".")
     node = raw
-    for p in parts[:-1]:
+    try:
+        for p in parents:
+            node = node[int(p)] if isinstance(node, list) else node[p]
         if isinstance(node, list):
-            node = node[int(p)]
-        elif p in node:
-            node = node[p]
-        else:
-            raise ConfigError(f"--set: no such field {path!r}", field=path)
-    leaf = parts[-1]
-    container = node
-    if isinstance(container, list):
-        leaf = int(leaf)
-        current = container[leaf]
-    else:
-        if leaf not in container:
-            raise ConfigError(f"--set: no such field {path!r}", field=path)
-        current = container[leaf]
+            leaf = int(leaf)
+        current = node[leaf]
+    except (KeyError, IndexError, TypeError, ValueError):
+        raise ConfigError(f"--set: no such field {path!r}", field=path) from None
     if isinstance(current, (dict, list)):
         raise ConfigError(f"--set: {path!r} is not a scalar field", field=path)
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
-    container[leaf] = parsed
+    node[leaf] = parsed
 
 
 def load_config(path, overrides=()):
@@ -164,7 +170,7 @@ def _load_corpora(cfg):
     if cfg.data is None:
         raise ConfigError("config.data is required for this command", field="config.data")
     out = {}
-    for dom in ("source", "target"):
+    for dom in CORPORA:
         path = cfg.data["dir"] / dom
         if not (path / "meta.json").exists():
             raise ConfigError(
@@ -173,6 +179,18 @@ def _load_corpora(cfg):
             )
         out[dom] = Corpus.load(path)
     return out
+
+
+def _check_split(corpus, split, field):
+    if not corpus.split(split):
+        raise ConfigError(f"{field}: corpus {corpus.domain!r} has no {split!r} split", field=field)
+
+
+def _emit(report, out_dir, stem):
+    out = write_report(report, out_dir, stem)
+    print(render_report(report), end="")
+    print(f"report written to {out}")
+    return 0
 
 
 # ---------------------------------------------------------------------
@@ -184,7 +202,7 @@ def cmd_gen_data(cfg, _args):
     if cfg.data is None or "source" not in cfg.data or "target" not in cfg.data:
         raise ConfigError("gen-data needs config.data.source and config.data.target",
                           field="config.data")
-    for dom in ("source", "target"):
+    for dom in CORPORA:
         spec, counts = cfg.data[dom]
         corpus = generate(spec, counts)
         out = cfg.data["dir"] / dom
@@ -197,6 +215,8 @@ def cmd_run(cfg, _args):
     if cfg.space is None or not cfg.stages:
         raise ConfigError("run needs config.space and config.stages", field="config.stages")
     corpora = _load_corpora(cfg)
+    for i, s in enumerate(cfg.systems):
+        _check_split(corpora[s["corpus"]], s["split"], f"config.systems.{i}.split")
     rep = run_recipe(cfg.stages, corpora, cfg.out_dir, cfg.space, seed=cfg.seed)
     systems = []
     for s in cfg.systems:
@@ -204,21 +224,14 @@ def cmd_run(cfg, _args):
         systems.append(system_record(s["name"], ckpt_path, corpora[s["corpus"]], s["split"]))
     report = evaluation_report(systems)
     report["stages"] = rep["stages"]
-    out = write_report(report, cfg.out_dir)
-    print(render_report(report), end="")
-    print(f"report written to {out}")
-    return 0
+    return _emit(report, cfg.out_dir, "report")
 
 
 def cmd_evaluate(cfg, args):
     corpora = _load_corpora(cfg)
     corpus = corpora[args.corpus]
     rec = system_record(args.name, args.checkpoint, corpus, args.split)
-    report = evaluation_report([rec])
-    out = write_report(report, cfg.out_dir, stem=f"eval_{args.name}")
-    print(render_report(report), end="")
-    print(f"report written to {out}")
-    return 0
+    return _emit(evaluation_report([rec]), cfg.out_dir, f"eval_{args.name}")
 
 
 def cmd_dump_arch(_cfg, args):
@@ -237,13 +250,12 @@ def cmd_sweep(cfg, _args):
         raise ConfigError("sweep needs config.sweep, config.space and config.stages",
                           field="config.sweep")
     corpora = _load_corpora(cfg)
+    _check_split(corpora[cfg.sweep["eval_corpus"]], cfg.sweep["eval_split"],
+                 "config.sweep.eval_split")
     report = run_sweep(cfg.sweep["eta"], cfg.stages, corpora, cfg.out_dir, cfg.space,
                        seed=cfg.seed, eval_corpus=cfg.sweep["eval_corpus"],
                        eval_split=cfg.sweep["eval_split"])
-    out = write_report(report, cfg.out_dir, stem="sweep")
-    print(render_report(report), end="")
-    print(f"report written to {out}")
-    return 0
+    return _emit(report, cfg.out_dir, "sweep")
 
 
 def _error_record(exc, code):
@@ -256,18 +268,16 @@ def _error_record(exc, code):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="confadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "run", "sweep"):
+    for name in ("gen-data", "run", "evaluate", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", required=True)
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="PATH=VALUE")
-    p = sub.add_parser("evaluate")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", default="target", choices=("source", "target"))
-    p.add_argument("--split", default="test")
-    p.add_argument("--name", default="system")
-    p.add_argument("--set", action="append", default=[], dest="overrides", metavar="PATH=VALUE")
+        if name == "evaluate":
+            p.add_argument("--checkpoint", required=True)
+            p.add_argument("--corpus", default="target", choices=CORPORA)
+            p.add_argument("--split", default="test")
+            p.add_argument("--name", default="system")
     p = sub.add_parser("dump-arch")
     p.add_argument("--checkpoint", required=True)
 

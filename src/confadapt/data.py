@@ -100,14 +100,6 @@ class DomainSpec:
             d[k] = list(np.atleast_1d(np.asarray(v, dtype=np.float64))) if not np.isscalar(v) else float(v)
         return d
 
-    @staticmethod
-    def from_json(d):
-        d = dict(d)
-        for k in ("channel_shift", "channel_scale"):
-            if isinstance(d.get(k), list):
-                d[k] = tuple(d[k])
-        return DomainSpec(**d)
-
 
 @dataclass
 class Utterance:

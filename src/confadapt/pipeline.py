@@ -37,7 +37,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, IncompatibleCheckpointError
 from .data import iter_batches
-from .losses import greedy_decode, hybrid_batch_loss, edit_distance
+from .losses import greedy_decode, edit_distance
 from .optim import Adam
 from .search import ArchLogits, TempSchedule, alternating_step, extract
 from .space import _key_str
@@ -96,24 +96,8 @@ def sub_seed(seed, tag):
 
 
 # ---------------------------------------------------------------------
-# tasks: model + loss wrappers the loops train
+# models from checkpoints, and their error rates
 # ---------------------------------------------------------------------
-
-
-class SupernetTask:
-    def __init__(self, supernet):
-        self.supernet = supernet
-
-    @property
-    def space(self):
-        return self.supernet.space
-
-    def named_parameters(self):
-        return self.supernet.named_parameters()
-
-    def batch_loss(self, batch, weights):
-        out = self.supernet.mixed_forward(batch, weights)
-        return hybrid_batch_loss(out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
 
 
 def supernet_from_checkpoint(ckpt):
@@ -232,6 +216,8 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
     if not train:
         raise ValueError(f"stage {cfg.name!r}: corpus needs a train split")
     dev = corpus.split("dev")
+    if cfg.patience is not None and not dev:
+        raise ValueError(f"stage {cfg.name!r}: patience needs a dev split")
     rng = np.random.default_rng(sub_seed(seed, "loop"))
     opt = Adam(model.named_parameters(), cfg.lr_weights)
     history = []
@@ -244,9 +230,7 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
         total = 0.0
         count = 0
         for batch in iter_batches(train, cfg.batch_size, rng):
-            out = model.forward(batch)
-            loss = hybrid_batch_loss(
-                out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
+            loss = model.batch_loss(batch)
             if not np.isfinite(loss.item()):
                 raise _diverged(cfg.name, epoch)
             backward(loss)
@@ -257,7 +241,7 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
             total += loss.item()
             count += 1
         entry = {"epoch": epoch, "train_loss": float(total / count)}
-        if cfg.patience is not None and dev:
+        if cfg.patience is not None:
             ter = corpus_ter(model, dev)
             entry["dev_ter"] = float(ter)
             if best is None or ter < best[0]:
@@ -291,18 +275,18 @@ def _lineage_entry(cfg, seed):
 
 def pretrain_supernet(corpus, cfg, space, out_path, seed=0):
     """Train a fresh supernet on the source corpus; emit its checkpoint."""
-    task = SupernetTask(ConformerSupernet(space, seed=sub_seed(seed, "init")))
+    net = ConformerSupernet(space, seed=sub_seed(seed, "init"))
     logits = ArchLogits(space, temperature=cfg.t_start, eta=cfg.eta)
     lineage = [_lineage_entry(cfg, seed)]
-    return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
+    return _search_stage(net, logits, corpus, cfg, seed, out_path, lineage)
 
 
 def adapt_supernet(ckpt, corpus, cfg, out_path, seed=0):
     """Continue alternating optimization from a supernet checkpoint."""
-    task = SupernetTask(supernet_from_checkpoint(ckpt))
+    net = supernet_from_checkpoint(ckpt)
     logits = logits_from_checkpoint(ckpt, eta=cfg.eta)
     lineage = list(ckpt.lineage) + [_lineage_entry(cfg, seed)]
-    return _search_stage(task, logits, corpus, cfg, seed, out_path, lineage)
+    return _search_stage(net, logits, corpus, cfg, seed, out_path, lineage)
 
 
 def derive_model(ckpt, corpus, cfg, out_path, seed=0):
@@ -341,17 +325,19 @@ def run_recipe(stages, corpora, out_dir, space, seed=0):
     """
     from pathlib import Path
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = [st.name for st in stages]
     if len(set(names)) != len(names):
         raise RecipeError(f"stage names must be unique, got {names}")
+    outputs = [st.output or st.name for st in stages]
+    if len(set(outputs)) != len(outputs):
+        raise RecipeError(f"stage outputs must be unique, got {outputs}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     produced = {}
     report = {"stages": [], "checkpoints": {}}
-    for cfg in stages:
+    for cfg, out_name in zip(stages, outputs):
         if cfg.corpus not in corpora:
             raise RecipeError(f"stage {cfg.name!r}: unknown corpus {cfg.corpus!r}")
-        out_name = cfg.output or cfg.name
         out_path = out_dir / f"{out_name}.ckpt"
         # seeds key off the stage name, so the same named stage reproduces
         # bit-exactly whether run inline or shared across sweep arms

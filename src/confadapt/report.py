@@ -65,7 +65,7 @@ def evaluation_report(systems):
     return {"schema_version": REPORT_SCHEMA_VERSION, "systems": systems}
 
 
-def write_report(report, out_dir, stem="report"):
+def write_report(report, out_dir, stem):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -116,30 +116,27 @@ def sweep(eta_list, stages, corpora, out_dir, space, seed=0, eval_corpus="target
     The leading pretrain stage (if any) runs once; every arm then runs
     the remaining stages with its own penalty factor applied to the
     search stages. Failures in one arm are recorded without aborting the
-    others.
+    others; a negative penalty factor is refused before anything runs.
     """
+    bad = [eta for eta in eta_list if not eta >= 0]
+    if bad:
+        raise ValueError(f"sweep: penalty factors must be nonnegative, got {bad}")
     out_dir = Path(out_dir)
-    shared_input = None
     rest = list(stages)
+    shared = {}
     if rest and rest[0].kind == "pretrain":
-        head = rest[0]
-        shared_report = run_recipe([head], corpora, out_dir / "shared", space, seed=seed)
-        shared_input = shared_report["checkpoints"][head.output or head.name]
+        shared = run_recipe(rest[:1], corpora, out_dir / "shared", space, seed=seed)["checkpoints"]
         rest = rest[1:]
 
     systems = []
     arms = []
     for i, eta in enumerate(eta_list):
-        if eta < 0:
-            raise ValueError(f"sweep: penalty factors must be nonnegative, got {eta}")
-        arm_stages = []
-        for st in rest:
-            st2 = replace(st, eta=eta) if st.kind in ("pretrain", "adapt") else st
-            if shared_input is not None and st2.input is not None and not Path(st2.input).exists():
-                head_name = stages[0].output or stages[0].name
-                if st2.input == head_name:
-                    st2 = replace(st2, input=str(shared_input))
-            arm_stages.append(st2)
+        # arm inputs naming the shared output read the shared checkpoint
+        arm_stages = [
+            replace(st, input=shared.get(st.input, st.input),
+                    eta=eta if st.kind in ("pretrain", "adapt") else st.eta)
+            for st in rest
+        ]
         arm_dir = out_dir / f"eta_{i}"
         try:
             rep = run_recipe(arm_stages, corpora, arm_dir, space, seed=seed)

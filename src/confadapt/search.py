@@ -123,6 +123,10 @@ def _require_finite(loss, which):
 def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits, rng):
     """One decoupled optimization step, first order as in DARTS.
 
+    ``task`` is anything with ``space``, ``named_parameters()`` and
+    ``batch_loss(batch, weights)``: the search stages pass the
+    ``ConformerSupernet`` itself, and the tests also pass small toy tasks.
+
     First the shared weights take a gradient step on the training batch
     with freshly sampled mixing weights, then the logits take a step on
     the held-out batch through the penalized loss. Each half holds the

@@ -92,7 +92,7 @@ class ArchSpace:
 
     @staticmethod
     def from_json(d):
-        return ArchSpace(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return ArchSpace(**d)
 
 
 def _key_str(key):

@@ -15,7 +15,8 @@ only, fold the mixture into per-column weights, then project once.
 
 Blocks take one selector, a mixing-weight dict or a ``DerivedArch``,
 both indexed by group key. A materialized model reuses the blocks with
-buffers sized to its architecture and selects with its own arch.
+buffers sized to its architecture and selects with its own arch. Each
+model's ``batch_loss`` applies the hybrid objective to its forward.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import IncompatibleCheckpointError
+from .losses import hybrid_batch_loss
+from .space import ENC_GROUPS, DerivedArch
 from .tensor import ShapeError, Tensor
 
 NEG_FILL = -1.0e30
@@ -64,15 +67,18 @@ def _init_value(shape, kind, rng):
 
 
 class _Builder:
-    """Registers parameters in creation order with values drawn from ``rng``."""
+    """Registers parameters in creation order with values drawn from ``rng``,
+    and records the init kind of each."""
 
-    def __init__(self, params, rng):
-        self.params = params
+    def __init__(self, rng):
+        self.params = {}
+        self.kinds = {}
         self.rng = rng
 
     def __call__(self, name, shape, kind):
         p = Tensor(_init_value(tuple(shape), kind, self.rng), requires_grad=True)
         self.params[name] = p
+        self.kinds[name] = kind
         return p
 
 
@@ -279,27 +285,27 @@ class SearchableConv:
 # ---------------------------------------------------------------------
 #
 # ``sel`` is a mixing-weight dict or a DerivedArch; both map group keys
-# to what the searchable modules take.
+# to what the searchable modules take. ``arch`` sizes the buffers.
 
 
 class EncoderBlock:
-    def __init__(self, build, space, b, size_of):
+    def __init__(self, build, space, b, arch):
         d = space.model_dim
         p = f"enc.{b}"
-        self.keys = {g: ("enc", b, g) for g in ("fd", "ah", "adim", "ck")}
+        self.keys = {g: ("enc", b, g) for g in ENC_GROUPS}
         self.ln_ff1 = _LN(build, p + ".ln_ff1", d)
-        self.ff1 = SearchableFF(build, p + ".ff1", d, space.ff_choices, size_of(self.keys["fd"]))
+        self.ff1 = SearchableFF(build, p + ".ff1", d, space.ff_choices, arch[self.keys["fd"]])
         self.ln_attn = _LN(build, p + ".ln_attn", d)
         self.attn = SearchableAttention(
             build, p + ".attn", d, space.head_choices, space.head_dim_choices,
-            size_of(self.keys["ah"]), size_of(self.keys["adim"]),
+            arch[self.keys["ah"]], arch[self.keys["adim"]],
         )
         self.ln_conv = _LN(build, p + ".ln_conv", d)
         self.conv = SearchableConv(
-            build, p + ".conv", d, space.kernel_choices, size_of(self.keys["ck"])
+            build, p + ".conv", d, space.kernel_choices, arch[self.keys["ck"]]
         )
         self.ln_ff2 = _LN(build, p + ".ln_ff2", d)
-        self.ff2 = SearchableFF(build, p + ".ff2", d, space.ff_choices, size_of(self.keys["fd"]))
+        self.ff2 = SearchableFF(build, p + ".ff2", d, space.ff_choices, arch[self.keys["fd"]])
         self.ln_out = _LN(build, p + ".ln_out", d)
 
     def forward(self, x, pad, sel):
@@ -307,9 +313,7 @@ class EncoderBlock:
         x = x + self.ff1(self.ln_ff1(x), sel[k["fd"]]) * 0.5
         a_in = self.ln_attn(x)
         x = x + self.attn(a_in, a_in, sel[k["ah"]], sel[k["adim"]], key_pad=pad)
-        c_in = self.ln_conv(x)
-        if pad is not None:
-            c_in = T.masked_fill(c_in, pad[:, :, None], 0.0)
+        c_in = T.masked_fill(self.ln_conv(x), pad[:, :, None], 0.0)
         x = x + self.conv(c_in, sel[k["ck"]])
         x = x + self.ff2(self.ln_ff2(x), sel[k["fd"]]) * 0.5
         return self.ln_out(x)
@@ -325,7 +329,7 @@ class EncoderBlock:
 
 
 class DecoderBlock:
-    def __init__(self, build, space, b, size_of):
+    def __init__(self, build, space, b, arch):
         d = space.model_dim
         p = f"dec.{b}"
         if space.split_decoder_attention:
@@ -338,15 +342,15 @@ class DecoderBlock:
         self.ln_self = _LN(build, p + ".ln_self", d)
         self.self_attn = SearchableAttention(
             build, p + ".self_attn", d, space.head_choices, space.head_dim_choices,
-            size_of(self.key_self[0]), size_of(self.key_self[1]),
+            arch[self.key_self[0]], arch[self.key_self[1]],
         )
         self.ln_cross = _LN(build, p + ".ln_cross", d)
         self.cross_attn = SearchableAttention(
             build, p + ".cross_attn", d, space.head_choices, space.head_dim_choices,
-            size_of(self.key_cross[0]), size_of(self.key_cross[1]),
+            arch[self.key_cross[0]], arch[self.key_cross[1]],
         )
         self.ln_ff = _LN(build, p + ".ln_ff", d)
-        self.ff = SearchableFF(build, p + ".ff", d, space.ff_choices, size_of(self.key_fd))
+        self.ff = SearchableFF(build, p + ".ff", d, space.ff_choices, arch[self.key_fd])
 
     def forward(self, x, enc, enc_pad, sel):
         hs, ds = self.key_self
@@ -381,12 +385,14 @@ def _sinusoid(length, d):
 
 
 class _ConformerCore:
-    """Shared structure of the supernet and materialized models."""
+    """Shared structure of the supernet and materialized models: buffers
+    sized to ``arch``, values drawn from ``seed``."""
 
-    def __init__(self, space, size_of, build):
+    def __init__(self, space, arch, seed):
         if space.model_dim % 2 != 0:
             raise ValueError("model_dim must be even (sinusoidal positions)")
         self.space = space
+        build = _Builder(np.random.default_rng(seed))
         d, f, v = space.model_dim, space.feat_dim, space.vocab_size
         self.front_dw1 = build("front.dw1", (3, f), "kernel")
         self.front_db1 = build("front.db1", (f,), "zeros")
@@ -396,16 +402,17 @@ class _ConformerCore:
         self.front_db2 = build("front.db2", (d,), "zeros")
         self.front_pw2 = build("front.pw2", (d, d), "xavier")
         self.front_pb2 = build("front.pb2", (d,), "zeros")
-        self.enc_blocks = [EncoderBlock(build, space, b, size_of) for b in range(space.encoder_blocks)]
+        self.enc_blocks = [EncoderBlock(build, space, b, arch) for b in range(space.encoder_blocks)]
         self.enc_final = _LN(build, "enc.final_ln", d)
         self.ctc_w = build("ctc.w", (d, v), "xavier")
         self.ctc_b = build("ctc.b", (v,), "zeros")
         self.embed = build("dec.embed", (v, d), "embed")
-        self.dec_blocks = [DecoderBlock(build, space, b, size_of) for b in range(space.decoder_blocks)]
+        self.dec_blocks = [DecoderBlock(build, space, b, arch) for b in range(space.decoder_blocks)]
         self.dec_final = _LN(build, "dec.final_ln", d)
         self.out_w = build("out.w", (d, v), "xavier")
         self.out_b = build("out.b", (v,), "zeros")
         self.params = build.params
+        self._init_kinds = build.kinds
         self._pos = {}
 
     def named_parameters(self):
@@ -482,6 +489,11 @@ class _ConformerCore:
         logits = self._decode(enc, pad, tokens_in, sel)
         return ForwardOut(enc=enc, enc_lens=enc_lens, ctc_logprobs=ctc_lp, dec_logits=logits)
 
+    @staticmethod
+    def _hybrid_loss(out, batch):
+        """The training objective of a forward output."""
+        return hybrid_batch_loss(out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
+
 
 def one_hot_weights(space, arch):
     """Exact one-hot mixing weights selecting ``arch`` in every group."""
@@ -516,14 +528,16 @@ class ConformerSupernet(_ConformerCore):
     """All candidate structures in one weight-shared model."""
 
     def __init__(self, space, seed=0):
-        build = _Builder({}, rng=np.random.default_rng(seed))
-        size_of = lambda key: max(space.group_choices(key))
-        super().__init__(space, size_of, build)
+        super().__init__(space, DerivedArch.maximal(space), seed)
 
     def mixed_forward(self, batch, weights):
         """Forward with every searchable sub-module mixing its branches."""
         lam = _check_weights(self.space, weights)
         return self._forward(batch.features, batch.feat_lens, batch.tokens_in, lam)
+
+    def batch_loss(self, batch, weights):
+        """Hybrid loss of the mixed forward; the search step's task interface."""
+        return self._hybrid_loss(self.mixed_forward(batch, weights), batch)
 
     def one_hot_forward(self, batch, arch):
         """Forward running only the branches selected by ``arch``."""
@@ -538,24 +552,23 @@ class ConformerSupernet(_ConformerCore):
             out.update(blk.export(arch))
         return out
 
-    def materialize(self, arch, init="inherit", seed=None):
+    def materialize(self, arch, init="inherit", seed=0):
         """Standalone model for ``arch``, inheriting slices or drawn fresh."""
         arch.validate(self.space)
         if init == "inherit":
             return DerivedModel(self.space, arch, weights=self.sliced_weights(arch))
         if init == "fresh":
-            return DerivedModel(self.space, arch, seed=0 if seed is None else seed)
+            return DerivedModel(self.space, arch, seed=seed)
         raise ValueError(f"materialize: init must be 'inherit' or 'fresh', got {init!r}")
 
 
 class DerivedModel(_ConformerCore):
     """A single concrete architecture with its own parameter set."""
 
-    def __init__(self, space, arch, weights=None, seed=None):
+    def __init__(self, space, arch, weights=None, seed=0):
         arch.validate(space)
         self.arch = arch
-        build = _Builder({}, rng=np.random.default_rng(0 if seed is None else seed))
-        super().__init__(space, lambda key: arch[key], build)
+        super().__init__(space, arch, seed)
         if weights is not None:
             self.load_weights(weights)
 
@@ -564,6 +577,9 @@ class DerivedModel(_ConformerCore):
 
     def forward(self, batch):
         return self._forward(batch.features, batch.feat_lens, batch.tokens_in, self.arch)
+
+    def batch_loss(self, batch):
+        return self._hybrid_loss(self.forward(batch), batch)
 
     def forward_encoder(self, features, lens):
         enc, enc_lens, _, ctc_lp = self._encode(features, lens, self.arch)
@@ -575,11 +591,6 @@ class DerivedModel(_ConformerCore):
 
     def reinit_output_layers(self, rng):
         """Redraw the token output projections (decoder head and CTC head)."""
-        d, v = self.space.model_dim, self.space.vocab_size
-        for name, shape, kind in (
-            ("out.w", (d, v), "xavier"),
-            ("out.b", (v,), "zeros"),
-            ("ctc.w", (d, v), "xavier"),
-            ("ctc.b", (v,), "zeros"),
-        ):
-            self.params[name].data[...] = _init_value(shape, kind, rng)
+        for name in ("out.w", "out.b", "ctc.w", "ctc.b"):
+            p = self.params[name]
+            p.data[...] = _init_value(p.data.shape, self._init_kinds[name], rng)

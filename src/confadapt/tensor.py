@@ -95,10 +95,10 @@ class Tensor:
         return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, other)
+        return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
-        return sub(other, self)
+        return add(other, mul(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -256,20 +256,6 @@ def add(a, b):
     return _from_op(data, (a, b), bw)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("sub", a, b)
-    data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, -_reduce_to(g, b.data.shape))
-
-    return _from_op(data, (a, b), bw)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("mul", a, b)
@@ -301,10 +287,7 @@ def matmul(a, b):
             if a.requires_grad:
                 _accumulate(a, g @ b.data.T)
             if b.requires_grad:
-                if a.data.ndim == 1:
-                    _accumulate(b, np.outer(a.data, g))
-                else:
-                    _accumulate(b, a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
+                _accumulate(b, a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
         else:
             if a.requires_grad:
                 _accumulate(a, g @ np.swapaxes(b.data, -1, -2))

@@ -192,6 +192,33 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "-c", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("command, edit, overrides, field", [
+        ("run", {}, ["stages.9.epochs=3"], "stages.9.epochs"),
+        ("run", {}, ["stages.x.epochs=3"], "stages.x.epochs"),
+        ("run", {"systems": [{"name": "s", "checkpoint": "m_param", "corpus": "tgt"}]}, [],
+         "config.systems.0.corpus"),
+        ("run", {"systems": [{"name": "s", "checkpoint": "m_param", "split": "eval"}]}, [],
+         "config.systems.0.split"),
+        ("sweep", {"sweep": {"eta": [0.0, -1.0]}}, [], "config.sweep.eta"),
+        ("sweep", {"sweep": {"eta": [0.0], "eval_corpus": "tgt"}}, [],
+         "config.sweep.eval_corpus"),
+        ("sweep", {"sweep": {"eta": [0.0], "eval_split": "eval"}}, [],
+         "config.sweep.eval_split"),
+    ])
+    def test_invalid_config_exits_2_before_any_stage(self, workspace, tmp_path, capsys,
+                                                     command, edit, overrides, field):
+        data_dir = workspace[1]["data"]["dir"]
+        cfg = base_config(tmp_path)
+        cfg["data"]["dir"] = data_dir
+        cfg.update(edit)
+        args = [command, "-c", write_config(tmp_path, cfg)]
+        for o in overrides:
+            args += ["--set", o]
+        assert main(args) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == field
+        out_dir = tmp_path / "run"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
 
 class _EchoModel:
     """Stub decoder that reads the token id straight out of the features,
@@ -274,6 +301,17 @@ class TestSweep:
         assert "error" not in report["systems"][0]
         assert "error" in report["systems"][1]
         assert "diverged" in report["systems"][1]["error"]
+    def test_negative_eta_refused_before_any_stage(self, workspace, tmp_path):
+        tmp_path_ws, cfg, _ = workspace
+        corpora = {d: Corpus.load(tmp_path_ws / "data" / d) for d in ("source", "target")}
+        stages = [StageConfig(name="pre", kind="pretrain", corpus="source", epochs=1,
+                              batch_size=8, output="sn")]
+        from confadapt.space import ArchSpace
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_sweep([0.0, -1.0], stages, corpora, tmp_path / "neg",
+                      ArchSpace.from_json(cfg["space"]))
+        assert not (tmp_path / "neg").exists()
+
     def test_single_eta_matches_plain_run(self, workspace, tmp_path):
         tmp_path_ws, cfg, _ = workspace
         corpora = {d: Corpus.load(tmp_path_ws / "data" / d) for d in ("source", "target")}

@@ -129,7 +129,7 @@ class TestSpecValidation:
     def test_json_round_trip(self):
         src, tgt = default_domain_pair(feat_dim=6, vocab_tokens=5)
         for spec in (src, tgt):
-            again = DomainSpec.from_json(spec.to_json())
+            again = DomainSpec(**spec.to_json())
             assert np.allclose(again.channel_arrays()[0], spec.channel_arrays()[0])
             assert again.mean_frames == spec.mean_frames
 

@@ -5,7 +5,7 @@ import pytest
 
 from confadapt import pipeline
 from confadapt.checkpoint import Checkpoint, IncompatibleCheckpointError, _read_sections
-from confadapt.data import default_domain_pair, generate
+from confadapt.data import Corpus, default_domain_pair, generate
 from confadapt.pipeline import (
     RecipeError,
     StageConfig,
@@ -266,6 +266,16 @@ class TestAdapt:
                            cfg("a", "adapt", corpus="target"), tmp_path / "y.ckpt", seed=2)
 
 
+class TestDerive:
+    def test_patience_needs_dev_split(self, pretrained, corpora, tmp_path):
+        src = corpora["source"]
+        no_dev = Corpus(src.domain, src.vocab_size, src.feat_dim, {"train": src.split("train")})
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="'d': patience needs a dev split"):
+            derive_model(pretrained, no_dev, cfg("d", "derive", patience=0), path, seed=3)
+        assert not path.exists()
+
+
 @pytest.fixture(scope="module")
 def model_ckpt(corpora, tmp_path_factory):
     base = tmp_path_factory.mktemp("ft")
@@ -390,6 +400,17 @@ class TestRunRecipe:
     def test_missing_input_field_refused(self, corpora, tmp_path):
         with pytest.raises(RecipeError, match="requires an input"):
             run_recipe([cfg("ad", "adapt")], corpora, tmp_path, SPACE, seed=1)
+
+    def test_duplicate_outputs_refused_before_any_stage(self, corpora, tmp_path):
+        for stages in (
+            [cfg("a", "pretrain", epochs=0, output="x"),
+             cfg("b", "pretrain", epochs=0, output="x")],
+            [cfg("x", "pretrain", epochs=0),
+             cfg("b", "pretrain", epochs=0, output="x")],
+        ):
+            with pytest.raises(RecipeError, match="outputs must be unique"):
+                run_recipe(stages, corpora, tmp_path, SPACE, seed=1)
+            assert not list(tmp_path.glob("**/*.ckpt"))
 
     def test_unknown_corpus_refused(self, corpora, tmp_path):
         with pytest.raises(RecipeError, match="corpus"):

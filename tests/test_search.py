@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from confadapt.optim import Adam, zero_all
-from confadapt.pipeline import SupernetTask
 from confadapt.search import (
     ArchLogits,
     TempSchedule,
@@ -433,7 +432,7 @@ class TestStepMatchesFullBackwardReference:
         batches = [(rand_batch(SPACE, draw=draw), rand_batch(SPACE, draw=draw)) for _ in range(3)]
 
         def setup():
-            task = SupernetTask(ConformerSupernet(SPACE, seed=5))
+            task = ConformerSupernet(SPACE, seed=5)
             logits = ArchLogits(SPACE, temperature=0.7, eta=1e-4)
             return (task, logits, Adam(task.named_parameters(), 1e-2),
                     Adam(logits.named_parameters(), 3e-2), np.random.default_rng(9))

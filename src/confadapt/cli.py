@@ -14,9 +14,11 @@ indices allowed, e.g. ``--set stages.0.epochs=3``).
 Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 1 other failures. Errors also emit one machine-parsable JSON record on
 stderr. An invalid configuration exits 2 before any stage runs: a
-``--set`` path that names no field, a bad stage setting, a system or
-sweep corpus other than source/target, a system or sweep split the
-corpus lacks, or a negative sweep penalty factor.
+value of the wrong type, a ``--set`` path that names no field, a bad
+stage setting, a system or sweep corpus other than source/target, a
+system or sweep split the corpus lacks, a space whose ``feat_dim`` or
+``vocab_size`` does not fit the corpora, or a negative sweep penalty
+factor.
 """
 
 from __future__ import annotations
@@ -51,8 +53,16 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _typed(value, kind, path):
+    """``value``, if it is a ``kind`` (a JSON object is a dict, an array a list)."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: expected a {kind.__name__}, got {type(value).__name__}",
+                          field=path)
+    return value
+
+
 def _check_keys(d, allowed, path, required=()):
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(_typed(d, dict, path)) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown field {path}.{unknown[0]}", field=f"{path}.{unknown[0]}")
     for r in required:
@@ -66,13 +76,17 @@ def _check_corpus(name, field):
     return name
 
 
-def _build(cls, d, path):
+def _read(path, convert, value):
+    """``convert(value)``, with a value of the wrong type or range reported
+    as a ConfigError naming ``path``."""
     try:
-        return cls(**d)
-    except TypeError as exc:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}", field=path) from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from exc
+
+
+def _build(cls, d, path):
+    return _read(path, lambda kwargs: cls(**kwargs), d)
 
 
 class RunConfig:
@@ -86,7 +100,7 @@ class RunConfig:
                 f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}",
                 field="config.schema_version",
             )
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _read("config.seed", int, raw.get("seed", 0))
         self.out_dir = Path(raw["out_dir"])
         self.data = None
         if "data" in raw:
@@ -98,16 +112,18 @@ class RunConfig:
                     _check_keys(d[dom], ("spec", "counts"), f"config.data.{dom}",
                                 required=("spec", "counts"))
                     spec = _build(DomainSpec, d[dom]["spec"], f"config.data.{dom}.spec")
-                    counts = {k: int(v) for k, v in d[dom]["counts"].items()}
+                    counts = _typed(d[dom]["counts"], dict, f"config.data.{dom}.counts")
+                    counts = {k: _read(f"config.data.{dom}.counts.{k}", int, v)
+                              for k, v in counts.items()}
                     self.data[dom] = (spec, counts)
         self.space = None
         if "space" in raw:
             self.space = _build(ArchSpace, raw["space"], "config.space")
         self.stages = []
-        for i, st in enumerate(raw.get("stages", [])):
+        for i, st in enumerate(_typed(raw.get("stages", []), list, "config.stages")):
             self.stages.append(_build(StageConfig, st, f"config.stages.{i}"))
         self.systems = []
-        for i, s in enumerate(raw.get("systems", [])):
+        for i, s in enumerate(_typed(raw.get("systems", []), list, "config.systems")):
             _check_keys(s, ("name", "checkpoint", "corpus", "split"),
                         f"config.systems.{i}", required=("name", "checkpoint"))
             self.systems.append({
@@ -120,7 +136,8 @@ class RunConfig:
             _check_keys(raw["sweep"], ("eta", "eval_corpus", "eval_split"),
                         "config.sweep", required=("eta",))
             self.sweep = {
-                "eta": [float(e) for e in raw["sweep"]["eta"]],
+                "eta": _read("config.sweep.eta", lambda v: [float(e) for e in v],
+                             raw["sweep"]["eta"]),
                 "eval_corpus": _check_corpus(raw["sweep"].get("eval_corpus", "target"),
                                              "config.sweep.eval_corpus"),
                 "eval_split": raw["sweep"].get("eval_split", "test"),
@@ -186,6 +203,17 @@ def _check_split(corpus, split, field):
         raise ConfigError(f"{field}: corpus {corpus.domain!r} has no {split!r} split", field=field)
 
 
+def _check_space(space, corpora):
+    """The configured space reads every corpus's features and token ids."""
+    for c in corpora.values():
+        if space.feat_dim != c.feat_dim:
+            raise ConfigError(f"config.space.feat_dim: {space.feat_dim} != the {c.domain!r} "
+                              f"corpus's {c.feat_dim} channels", field="config.space.feat_dim")
+        if space.vocab_size < c.vocab_size:
+            raise ConfigError(f"config.space.vocab_size: {space.vocab_size} < the {c.domain!r} "
+                              f"corpus's {c.vocab_size} token ids", field="config.space.vocab_size")
+
+
 def _emit(report, out_dir, stem):
     out = write_report(report, out_dir, stem)
     print(render_report(report), end="")
@@ -215,6 +243,7 @@ def cmd_run(cfg, _args):
     if cfg.space is None or not cfg.stages:
         raise ConfigError("run needs config.space and config.stages", field="config.stages")
     corpora = _load_corpora(cfg)
+    _check_space(cfg.space, corpora)
     for i, s in enumerate(cfg.systems):
         _check_split(corpora[s["corpus"]], s["split"], f"config.systems.{i}.split")
     rep = run_recipe(cfg.stages, corpora, cfg.out_dir, cfg.space, seed=cfg.seed)
@@ -250,6 +279,7 @@ def cmd_sweep(cfg, _args):
         raise ConfigError("sweep needs config.sweep, config.space and config.stages",
                           field="config.sweep")
     corpora = _load_corpora(cfg)
+    _check_space(cfg.space, corpora)
     _check_split(corpora[cfg.sweep["eval_corpus"]], cfg.sweep["eval_split"],
                  "config.sweep.eval_split")
     report = run_sweep(cfg.sweep["eta"], cfg.stages, corpora, cfg.out_dir, cfg.space,

@@ -76,8 +76,14 @@ class DomainSpec:
             raise ValueError("DomainSpec: tempo must be positive")
         if not 0.0 <= self.warp_length_grading <= 1.0:
             raise ValueError("DomainSpec: warp_length_grading must be in [0, 1]")
-        scale = np.atleast_1d(np.asarray(self.channel_scale, dtype=np.float64))
-        if (scale == 0).any():
+        # a warp is stored as feat_dim floats; a scalar applies to every channel
+        for name in ("channel_shift", "channel_scale"):
+            v = getattr(self, name)
+            v = tuple(float(c) for c in ([v] * self.feat_dim if np.ndim(v) == 0 else v))
+            if len(v) != self.feat_dim:
+                raise ValueError(f"DomainSpec: {name} needs 1 or {self.feat_dim} values, got {len(v)}")
+            object.__setattr__(self, name, v)
+        if 0.0 in self.channel_scale:
             raise ValueError("DomainSpec: channel_scale must be invertible (nonzero)")
 
     @property
@@ -85,20 +91,10 @@ class DomainSpec:
         return FIRST_TOKEN_ID + self.vocab_tokens
 
     def channel_arrays(self):
-        shift = np.asarray(self.channel_shift, dtype=np.float64)
-        scale = np.asarray(self.channel_scale, dtype=np.float64)
-        shift = np.full(self.feat_dim, float(shift)) if shift.ndim == 0 else shift
-        scale = np.full(self.feat_dim, float(scale)) if scale.ndim == 0 else scale
-        if shift.shape != (self.feat_dim,) or scale.shape != (self.feat_dim,):
-            raise ValueError("DomainSpec: channel warp arrays must have feat_dim entries")
-        return shift, scale
+        return np.array(self.channel_shift), np.array(self.channel_scale)
 
     def to_json(self):
-        d = asdict(self)
-        for k in ("channel_shift", "channel_scale"):
-            v = d[k]
-            d[k] = list(np.atleast_1d(np.asarray(v, dtype=np.float64))) if not np.isscalar(v) else float(v)
-        return d
+        return asdict(self)
 
 
 @dataclass
@@ -168,7 +164,11 @@ class Corpus:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            feats = _read_features(path / "feats" / f"{rec['id']}.f64")
+            feats_path = path / "feats" / f"{rec['id']}.f64"
+            feats = _read_features(feats_path)
+            if feats.shape[1] != meta["feat_dim"]:
+                raise ValueError(f"{feats_path}: {feats.shape[1]} channels, but the corpus "
+                                 f"meta.json says feat_dim {meta['feat_dim']}")
             u = Utterance(rec["id"], rec["domain"], rec["split"], feats, np.array(rec["tokens"]))
             if u.duration != rec["duration"]:
                 raise ValueError(f"corpus at {path}: duration mismatch for {rec['id']}")

@@ -28,6 +28,7 @@ killed part-way restarts from scratch.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 
@@ -78,8 +79,17 @@ class StageConfig:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise RecipeError(f"stage {self.name!r}: unknown kind {self.kind!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise RecipeError(f"stage {self.name!r}: bad epochs/batch_size")
+        for field, least in (("epochs", 0), ("batch_size", 1), ("patience", 0)):
+            v = getattr(self, field)
+            if field == "patience" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, int) or v < least:
+                raise RecipeError(f"stage {self.name!r}: {field} must be an integer "
+                                  f">= {least}, got {v!r}")
+        for field in ("lr_weights", "lr_logits"):
+            if not 0 < getattr(self, field) < math.inf:
+                raise RecipeError(f"stage {self.name!r}: {field} must be finite and positive, "
+                                  f"got {getattr(self, field)!r}")
         if self.init not in self.INITS:
             raise RecipeError(f"stage {self.name!r}: init must be one of {self.INITS}, "
                               f"got {self.init!r}")

@@ -149,8 +149,9 @@ class SearchableFF:
         self.b2 = build(prefix + ".b2", (d,), "zeros")
         self._prefix_cols = Tensor(_prefix_mask(self.choices, width))
 
-    @staticmethod
-    def _slice(fd, w1, b1, w2):
+    def _slice(self, fd, w1, b1, w2):
+        if fd == self.width:
+            return w1, b1, w2
         return w1[:, :fd], b1[:fd], w2[:fd, :]
 
     def __call__(self, x, sel):
@@ -199,16 +200,18 @@ class SearchableAttention:
     def _in_slice(self, w, h, a):
         # input projections (d, H*A) and their biases (H*A,): heads packed
         # on the last axis, head-major
+        if h == self.h_max and a == self.a_max:
+            return w
         lead = w.shape[:-1]
         return w.reshape(*lead, self.h_max, self.a_max)[..., :h, :a].reshape(*lead, h * a)
 
     def _out_slice(self, wo, h, a):
+        if h == self.h_max and a == self.a_max:
+            return wo
         return wo.reshape(self.h_max, self.a_max, self.d)[:h, :a, :].reshape(h * a, self.d)
 
     def _proj_in(self, w, b, x, h, a):
-        if h != self.h_max or a != self.a_max:
-            w, b = self._in_slice(w, h, a), self._in_slice(b, h, a)
-        return (x @ w + b).reshape(*x.shape[:2], h, a)
+        return (x @ self._in_slice(w, h, a) + self._in_slice(b, h, a)).reshape(*x.shape[:2], h, a)
 
     def __call__(self, x_q, x_kv, sel_h, sel_a, key_pad=None, causal=False):
         """``sel_h``, ``sel_a``: mixing weights over ``h_choices`` and
@@ -229,7 +232,8 @@ class SearchableAttention:
         lam_h = sel_h.reshape(1, -1)
         ctx = None
         for ai, a in enumerate(self.a_choices):
-            ctx_a = attn_core(qf[:, :, :, :a], kf[:, :, :, :a], vf, a, key_pad, causal)
+            q, k = (qf, kf) if a == self.a_max else (qf[:, :, :, :a], kf[:, :, :, :a])
+            ctx_a = attn_core(q, k, vf, a, key_pad, causal)
             colw = (lam_h @ self._cols[ai]).reshape(-1) * sel_a[ai]
             term = ctx_a.reshape(b, t_q, -1) * colw
             ctx = term if ctx is None else ctx + term
@@ -266,7 +270,7 @@ class SearchableConv:
 
     def __call__(self, x, sel):
         """``sel``: mixing weights over ``choices`` (Tensor) or a kernel size."""
-        u = T.glu(x @ self.pw1 + self.pb1, axis=-1)
+        u = T.glu(x @ self.pw1 + self.pb1)
         if not isinstance(sel, Tensor):
             return self._act(u, sel) @ self.pw2 + self.pb2
         # pw2 is linear; pb2 keeps the total mixing weight it has in the branch sum
@@ -394,14 +398,12 @@ class _ConformerCore:
         self.space = space
         build = _Builder(np.random.default_rng(seed))
         d, f, v = space.model_dim, space.feat_dim, space.vocab_size
-        self.front_dw1 = build("front.dw1", (3, f), "kernel")
-        self.front_db1 = build("front.db1", (f,), "zeros")
-        self.front_pw1 = build("front.pw1", (f, d), "xavier")
-        self.front_pb1 = build("front.pb1", (d,), "zeros")
-        self.front_dw2 = build("front.dw2", (3, d), "kernel")
-        self.front_db2 = build("front.db2", (d,), "zeros")
-        self.front_pw2 = build("front.pw2", (d, d), "xavier")
-        self.front_pb2 = build("front.pb2", (d,), "zeros")
+        # two conv-subsampling stages, feat_dim -> model_dim -> model_dim
+        self.front = [
+            (build(f"front.dw{i}", (3, c), "kernel"), build(f"front.db{i}", (c,), "zeros"),
+             build(f"front.pw{i}", (c, d), "xavier"), build(f"front.pb{i}", (d,), "zeros"))
+            for i, c in ((1, f), (2, d))
+        ]
         self.enc_blocks = [EncoderBlock(build, space, b, arch) for b in range(space.encoder_blocks)]
         self.enc_final = _LN(build, "enc.final_ln", d)
         self.ctc_w = build("ctc.w", (d, v), "xavier")
@@ -439,24 +441,28 @@ class _ConformerCore:
         return np.arange(t)[None, :] >= np.asarray(lens)[:, None]
 
     def _front_end(self, features, lens):
-        b, t, f = features.shape
-        pad = self._pad_mask(lens, t)
-        x = T.masked_fill(Tensor(features), pad[:, :, None], 0.0)
-        x = T.depthwise_conv1d(x, self.front_dw1, self.front_db1)
-        x = T.swish(x @ self.front_pw1 + self.front_pb1)
-        x = x[:, ::2, :]
-        lens = (np.asarray(lens) + 1) // 2
-        pad = self._pad_mask(lens, x.shape[1])
-        x = T.masked_fill(x, pad[:, :, None], 0.0)
-        x = T.depthwise_conv1d(x, self.front_dw2, self.front_db2)
-        x = T.swish(x @ self.front_pw2 + self.front_pb2)
-        x = x[:, ::2, :]
-        lens = (lens + 1) // 2
-        pad = self._pad_mask(lens, x.shape[1])
-        x = x + self._posenc(x.shape[1])
-        return x, lens, pad
+        """Per stage: mask padding, convolve, keep every second frame, halve the lengths."""
+        x = Tensor(features)
+        for dw, db, pw, pb in self.front:
+            x = T.masked_fill(x, self._pad_mask(lens, x.shape[1])[:, :, None], 0.0)
+            x = T.depthwise_conv1d(x, dw, db)
+            x = T.swish(x @ pw + pb)[:, ::2, :]
+            lens = (lens + 1) // 2
+        return x + self._posenc(x.shape[1]), lens, self._pad_mask(lens, x.shape[1])
 
     def _encode(self, features, lens, sel):
+        features = np.asarray(features, dtype=np.float64)
+        lens = np.asarray(lens)
+        if features.ndim != 3:
+            raise ShapeError(f"encoder: features must be (B, T, F), got {features.shape}")
+        if features.shape[2] != self.space.feat_dim:
+            raise ShapeError(
+                f"encoder: feature dim {features.shape[2]} != space feat_dim {self.space.feat_dim}"
+            )
+        if lens.shape != (features.shape[0],) or lens.max(initial=0) > features.shape[1] or lens.min(initial=1) < 1:
+            raise ShapeError(
+                f"encoder: lengths {lens.tolist()} do not match features of shape {features.shape}"
+            )
         x, enc_lens, pad = self._front_end(features, lens)
         for blk in self.enc_blocks:
             x = blk.forward(x, pad, sel)
@@ -473,18 +479,6 @@ class _ConformerCore:
         return self.dec_final(x) @ self.out_w + self.out_b
 
     def _forward(self, features, lens, tokens_in, sel):
-        features = np.asarray(features, dtype=np.float64)
-        lens = np.asarray(lens)
-        if features.ndim != 3:
-            raise ShapeError(f"forward: features must be (B, T, F), got {features.shape}")
-        if features.shape[2] != self.space.feat_dim:
-            raise ShapeError(
-                f"forward: feature dim {features.shape[2]} != space feat_dim {self.space.feat_dim}"
-            )
-        if lens.shape != (features.shape[0],) or lens.max(initial=0) > features.shape[1] or lens.min(initial=1) < 1:
-            raise ShapeError(
-                f"forward: lengths {lens.tolist()} do not match features of shape {features.shape}"
-            )
         enc, enc_lens, pad, ctc_lp = self._encode(features, lens, sel)
         logits = self._decode(enc, pad, tokens_in, sel)
         return ForwardOut(enc=enc, enc_lens=enc_lens, ctc_logprobs=ctc_lp, dec_logits=logits)

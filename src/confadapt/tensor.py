@@ -435,27 +435,22 @@ def swish(x):
     return _from_op(data, (x,), bw)
 
 
-def glu(x, axis=-1):
-    """Gated linear unit: split in half along ``axis``, first * sigmoid(second)."""
+def glu(x):
+    """Gated linear unit: split the last axis in half, first * sigmoid(second)."""
     x = as_tensor(x)
-    n = x.data.shape[axis]
+    n = x.data.shape[-1]
     if n % 2 != 0:
-        raise ShapeError(f"glu: axis {axis} of shape {x.data.shape} has odd extent {n}")
+        raise ShapeError(f"glu: last axis of shape {x.data.shape} has odd extent {n}")
     h = n // 2
-    sl_a = [slice(None)] * x.data.ndim
-    sl_b = [slice(None)] * x.data.ndim
-    sl_a[axis] = slice(0, h)
-    sl_b[axis] = slice(h, n)
-    sl_a, sl_b = tuple(sl_a), tuple(sl_b)
-    a = x.data[sl_a]
-    s = 1.0 / (1.0 + np.exp(-x.data[sl_b]))
+    a = x.data[..., :h]
+    s = 1.0 / (1.0 + np.exp(-x.data[..., h:]))
     data = a * s
 
     def bw(g):
         if x.requires_grad:
             gx = _grad_buffer(x)
-            gx[sl_a] += g * s
-            gx[sl_b] += g * a * s * (1.0 - s)
+            gx[..., :h] += g * s
+            gx[..., h:] += g * a * s * (1.0 - s)
 
     return _from_op(data, (x,), bw)
 

@@ -169,7 +169,10 @@ class TestConfigValidation:
         # bad stage settings are rejected when the config loads, before
         # any stage runs
         for bad in ({"kind": "banana"}, {"init": "inherrit"}, {"eta": -0.1},
-                    {"t_end": 0.0}, {"t_start": 0.05, "t_end": 0.1}):
+                    {"t_end": 0.0}, {"t_start": 0.05, "t_end": 0.1},
+                    {"epochs": 1.5}, {"batch_size": 8.0}, {"patience": 1.5},
+                    {"patience": -1}, {"lr_weights": float("nan")}, {"lr_weights": -1e-3},
+                    {"lr_logits": float("inf")}, {"lr_logits": 0.0}):
             cfg = base_config(tmp_path)
             cfg["stages"][0].update(bad)
             assert main(["run", "-c", write_config(tmp_path, cfg)]) == 2, bad
@@ -204,13 +207,27 @@ class TestConfigValidation:
          "config.sweep.eval_corpus"),
         ("sweep", {"sweep": {"eta": [0.0], "eval_split": "eval"}}, [],
          "config.sweep.eval_split"),
+        ("sweep", {"sweep": {"eta": 0.5}}, [], "config.sweep.eta"),
+        ("run", {}, ["data.source.counts.train=many"], "config.data.source.counts.train"),
+        ("run", {"data.source.counts": 5}, [], "config.data.source.counts"),
+        ("run", {"stages": 5}, [], "config.stages"),
+        ("run", {}, ["seed=abc"], "config.seed"),
+        ("run", {"data.target.spec.channel_shift": [0.1, 0.2]}, [], "config.data.target.spec"),
+        ("run", {}, ["space.feat_dim=5"], "config.space.feat_dim"),
+        ("run", {}, ["space.vocab_size=8"], "config.space.vocab_size"),
+        ("sweep", {}, ["space.feat_dim=5"], "config.space.feat_dim"),
     ])
     def test_invalid_config_exits_2_before_any_stage(self, workspace, tmp_path, capsys,
                                                      command, edit, overrides, field):
         data_dir = workspace[1]["data"]["dir"]
         cfg = base_config(tmp_path)
         cfg["data"]["dir"] = data_dir
-        cfg.update(edit)
+        for path, value in edit.items():  # dotted path -> new value
+            *parents, leaf = path.split(".")
+            node = cfg
+            for p in parents:
+                node = node[p]
+            node[leaf] = value
         args = [command, "-c", write_config(tmp_path, cfg)]
         for o in overrides:
             args += ["--set", o]

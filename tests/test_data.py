@@ -7,6 +7,7 @@ from confadapt.data import (
     Corpus,
     DomainSpec,
     Utterance,
+    _write_features,
     default_domain_pair,
     generate,
     iter_batches,
@@ -132,6 +133,16 @@ class TestSpecValidation:
             again = DomainSpec(**spec.to_json())
             assert np.allclose(again.channel_arrays()[0], spec.channel_arrays()[0])
             assert again.mean_frames == spec.mean_frames
+            assert again == spec
+
+    def test_wrong_length_warp_rejected(self):
+        for field in ("channel_shift", "channel_scale"):
+            with pytest.raises(ValueError, match=field):
+                small_spec(**{field: (1.0, 2.0)})
+
+    def test_scalar_warp_is_its_per_channel_spelling(self):
+        scalar = small_spec(channel_shift=0.5, channel_scale=2.0)
+        assert scalar == small_spec(channel_shift=[0.5] * 6, channel_scale=(2.0,) * 6)
 
 
 class TestSerialization:
@@ -169,6 +180,16 @@ class TestSerialization:
                 Corpus.load(tmp_path / "corpus")
         feats.write_bytes(blob + bytes(8))
         with pytest.raises(ValueError, match=feats.name):
+            Corpus.load(tmp_path / "corpus")
+
+    def test_feature_file_channel_count_checked(self, tmp_path):
+        c = generate(small_spec(), {"train": 2})
+        c.save(tmp_path / "corpus")
+        u = c.split("train")[1]
+        # a well-formed file of the right length, one channel short
+        path = tmp_path / "corpus" / "feats" / f"{u.uid}.f64"
+        _write_features(path, u.features[:, :5])
+        with pytest.raises(ValueError, match=path.name):
             Corpus.load(tmp_path / "corpus")
 
 

@@ -14,8 +14,9 @@ from confadapt.space import (
     param_count,
     _linear_params,
 )
+from confadapt.search import ArchLogits, sample_weights
 from confadapt.supernet import ConformerSupernet, one_hot_weights
-from confadapt.tensor import ShapeError, Tensor, backward
+from confadapt.tensor import ShapeError, Tensor, backward, no_grad
 
 rng = np.random.default_rng(99)
 
@@ -389,15 +390,27 @@ class TestGradientsFlow:
             p.zero_grad()
 
 
-def tape_nodes(roots):
-    """Number of recorded op nodes reachable from ``roots``."""
-    seen, stack = set(), list(roots)
+def recorded(roots):
+    """Recorded op nodes reachable from ``roots``."""
+    seen, stack = {}, list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen and node._backward is not None:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parents)
-    return len(seen)
+    return list(seen.values())
+
+
+def tape_nodes(roots):
+    """Number of recorded op nodes reachable from ``roots``."""
+    return len(recorded(roots))
+
+
+def slices_and_reshapes(roots):
+    """Recorded ``tensor_slice`` and ``reshape`` nodes reachable from ``roots``;
+    each has its one operand as its only graph edge."""
+    return [n for n in recorded(roots)
+            if n._backward.__qualname__.split(".")[0] in ("tensor_slice", "reshape")]
 
 
 class TestTapeSize:
@@ -414,6 +427,30 @@ class TestTapeSize:
                         replace(SPACE, ff_choices=(4, 8, 12, 16))):
             assert size(variant) == base, variant
 
+    @pytest.mark.parametrize("space", [SPACE, SPLIT_SPACE], ids=["space", "split"])
+    def test_weight_step_records_no_identity_slice_or_reshape(self, space):
+        # a choice that fills its buffer reads the buffer itself
+        net = ConformerSupernet(space, seed=0)
+        with no_grad():
+            lam = sample_weights(ArchLogits(space), rng=np.random.default_rng(0))
+        loss = net.batch_loss(rand_batch(space), lam)
+        identity = [n for n in slices_and_reshapes([loss]) if n.shape == n._parents[0].shape]
+        assert not identity
+
+    @pytest.mark.parametrize("space", [SPACE, SPLIT_SPACE], ids=["space", "split"])
+    def test_materialized_model_reads_its_parameters_whole(self, space):
+        net = ConformerSupernet(space, seed=0)
+        draw = np.random.default_rng(4)
+        archs = [DerivedArch.maximal(space), DerivedArch.minimal(space)]
+        archs += [DerivedArch.sample_uniform(space, draw) for _ in range(3)]
+        batch = rand_batch(space)
+        for arch in archs:
+            model = net.materialize(arch)
+            own = {id(p) for p in model.params.values()}
+            loss = model.batch_loss(batch)
+            cut = [n for n in slices_and_reshapes([loss]) if id(n._parents[0]) in own]
+            assert not cut, arch
+
 
 class TestValidation:
     def test_unnormalized_weights_rejected(self, net, batch):
@@ -426,3 +463,11 @@ class TestValidation:
         bad = Batch(batch.features, batch.feat_lens + 100, batch.tokens_in, batch.token_seqs)
         with pytest.raises(ShapeError, match="lengths"):
             net.mixed_forward(bad, uniform_weights(SPACE))
+
+    def test_encoder_entry_checks_features_and_lengths(self, net, batch):
+        # greedy decoding enters through forward_encoder, not the full forward
+        model = net.materialize(DerivedArch.minimal(SPACE))
+        with pytest.raises(ShapeError, match="feature dim"):
+            model.forward_encoder(batch.features[:, :, :5], batch.feat_lens)
+        with pytest.raises(ShapeError, match="lengths"):
+            model.forward_encoder(batch.features, batch.feat_lens + 100)

@@ -28,6 +28,7 @@ killed part-way restarts from scratch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import zlib
@@ -163,54 +164,6 @@ def _diverged(stage, epoch):
     )
 
 
-def _supernet_checkpoint(task, logits, lineage):
-    return Checkpoint(
-        kind="supernet",
-        space=task.space,
-        weights={n: p.data.copy() for n, p in task.named_parameters().items()},
-        logits={_key_str(k): v.data.copy() for k, v in logits.groups.items()},
-        logits_meta={"temperature": logits.temperature},
-        lineage=lineage,
-    )
-
-
-def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
-    train = corpus.split("train")
-    held = corpus.split("heldout")
-    if not train or not held:
-        raise ValueError(f"stage {cfg.name!r}: corpus needs train and heldout splits")
-    rng = np.random.default_rng(sub_seed(seed, "loop"))
-    opt_w = Adam(task.named_parameters(), cfg.lr_weights)
-    opt_l = Adam(logits.named_parameters(), cfg.lr_logits)
-    sched = TempSchedule(cfg.t_start, cfg.t_end)
-    history = []
-
-    ckpt = _supernet_checkpoint(task, logits, lineage)
-    ckpt.save(out_path)
-    for epoch in range(cfg.epochs):
-        logits.temperature = sched.value(epoch, cfg.epochs)
-        held_batches = list(iter_batches(held, cfg.batch_size, rng))
-        sums = np.zeros(2)
-        count = 0
-        for i, tb in enumerate(iter_batches(train, cfg.batch_size, rng)):
-            hb = held_batches[i % len(held_batches)]
-            try:
-                lw, ll = alternating_step(tb, hb, task, logits, opt_w, opt_l, rng=rng)
-            except FloatingPointError as exc:
-                raise _diverged(cfg.name, epoch) from exc
-            sums += (lw, ll)
-            count += 1
-        history.append({
-            "epoch": epoch,
-            "temperature": float(logits.temperature),
-            "train_loss": float(sums[0] / count),
-            "heldout_loss": float(sums[1] / count),
-        })
-        ckpt = _supernet_checkpoint(task, logits, lineage)
-        ckpt.save(out_path)
-    return ckpt, history
-
-
 def _model_checkpoint(model, lineage):
     return Checkpoint(
         kind="model",
@@ -221,54 +174,97 @@ def _model_checkpoint(model, lineage):
     )
 
 
-def _train_stage(model, corpus, cfg, seed, out_path, lineage):
-    train = corpus.split("train")
-    if not train:
-        raise ValueError(f"stage {cfg.name!r}: corpus needs a train split")
-    dev = corpus.split("dev")
-    if cfg.patience is not None and not dev:
+def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
+    """Run a stage's epochs; return the kept checkpoint and the history.
+
+    The kind supplies ``snapshot()``, its checkpoint now; ``begin(epoch,
+    rng)``, the epoch's step (a train batch in, a tuple of losses out);
+    and ``end(epoch, mean_losses)``, the history entry and whether to keep
+    the epoch and to stop. A kept epoch is saved and returned, so the file
+    on disk is always the checkpoint the stage would return if it stopped
+    now. A step raises ``FloatingPointError`` on a non-finite loss or gradient.
+    """
+    if not corpus.split("train") or cfg.kind in ("pretrain", "adapt") and not corpus.split("heldout"):
+        raise ValueError(f"stage {cfg.name!r}: corpus lacks a split a {cfg.kind} stage trains on")
+    if cfg.patience is not None and not corpus.split("dev"):
         raise ValueError(f"stage {cfg.name!r}: patience needs a dev split")
     rng = np.random.default_rng(sub_seed(seed, "loop"))
-    opt = Adam(model.named_parameters(), cfg.lr_weights)
+    kept = snapshot()
+    kept.save(out_path)
     history = []
-    best = None  # (ter, epoch, weights)
-    bad_epochs = 0
-
-    ckpt = _model_checkpoint(model, lineage)
-    ckpt.save(out_path)
     for epoch in range(cfg.epochs):
-        total = 0.0
-        count = 0
-        for batch in iter_batches(train, cfg.batch_size, rng):
-            loss = model.batch_loss(batch)
-            if not np.isfinite(loss.item()):
-                raise _diverged(cfg.name, epoch)
-            backward(loss)
-            try:
-                opt.step()
-            except FloatingPointError as exc:
-                raise _diverged(cfg.name, epoch) from exc
-            total += loss.item()
-            count += 1
-        entry = {"epoch": epoch, "train_loss": float(total / count)}
-        if cfg.patience is not None:
-            ter = corpus_ter(model, dev)
-            entry["dev_ter"] = float(ter)
-            if best is None or ter < best[0]:
-                best = (ter, epoch, {n: p.data.copy() for n, p in model.named_parameters().items()})
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
+        step = begin(epoch, rng)
+        sums, count = 0.0, 0
+        try:
+            for batch in iter_batches(corpus.split("train"), cfg.batch_size, rng):
+                sums = sums + np.asarray(step(batch))
+                count += 1
+        except FloatingPointError as exc:
+            raise _diverged(cfg.name, epoch) from exc
+        entry, keep, stop = end(epoch, sums / count)
         history.append(entry)
-        ckpt = _model_checkpoint(model, lineage)
-        ckpt.save(out_path)
-        if cfg.patience is not None and bad_epochs > cfg.patience:
+        if keep:
+            kept = snapshot()
+            kept.save(out_path)
+        if stop:
             break
-    if best is not None:
-        model.load_weights(best[2])
-        ckpt = _model_checkpoint(model, lineage)
-        ckpt.save(out_path)
-    return ckpt, history
+    return kept, history
+
+
+def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
+    """Pretrain and adapt: alternating steps of the shared weights on train
+    batches and of the logits on held-out batches, at a temperature
+    annealed per epoch. Every epoch is kept."""
+    opt_w = Adam(task.named_parameters(), cfg.lr_weights)
+    opt_l = Adam(logits.named_parameters(), cfg.lr_logits)
+    sched = TempSchedule(cfg.t_start, cfg.t_end)
+
+    def snapshot():
+        return Checkpoint(kind="supernet", space=task.space, lineage=lineage,
+                          weights={n: p.data.copy() for n, p in task.named_parameters().items()},
+                          logits={_key_str(k): v.data.copy() for k, v in logits.groups.items()},
+                          logits_meta={"temperature": logits.temperature})
+
+    def begin(epoch, rng):
+        logits.temperature = sched.value(epoch, cfg.epochs)
+        # drawn before the loop shuffles the train split with the same rng
+        held = itertools.cycle(list(iter_batches(corpus.split("heldout"), cfg.batch_size, rng)))
+        return lambda tb: alternating_step(tb, next(held), task, logits, opt_w, opt_l, rng=rng)
+
+    def end(epoch, means):
+        return {"epoch": epoch, "temperature": float(logits.temperature),
+                "train_loss": float(means[0]), "heldout_loss": float(means[1])}, True, False
+
+    return _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end)
+
+
+def _train_stage(model, corpus, cfg, seed, out_path, lineage):
+    """Derive and finetune: plain steps on train batches. Without
+    ``patience`` every epoch is kept. With it, an epoch is kept only when
+    its dev TER improves, and the stage stops after more than ``patience``
+    epochs in a row without improvement."""
+    opt = Adam(model.named_parameters(), cfg.lr_weights)
+    best, bad_epochs = math.inf, 0
+
+    def step(batch):
+        loss = model.batch_loss(batch)
+        if not np.isfinite(loss.item()):  # before backward: a poisoned batch updates nothing
+            raise FloatingPointError("non-finite training loss")
+        backward(loss)
+        opt.step()
+        return (loss.item(),)
+
+    def end(epoch, means):
+        nonlocal best, bad_epochs
+        entry = {"epoch": epoch, "train_loss": float(means[0])}
+        if cfg.patience is None:
+            return entry, True, False
+        entry["dev_ter"] = ter = float(corpus_ter(model, corpus.split("dev")))
+        best, bad_epochs = (ter, 0) if ter < best else (best, bad_epochs + 1)
+        return entry, bad_epochs == 0, bad_epochs > cfg.patience
+
+    return _epoch_loop(cfg, corpus, seed, out_path,
+                       lambda: _model_checkpoint(model, lineage), lambda epoch, rng: step, end)
 
 
 def _lineage_entry(cfg, seed):

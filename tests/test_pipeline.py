@@ -318,6 +318,35 @@ class TestFinetune:
         assert ckpt.arch.choices == model_ckpt.arch.choices
         assert ckpt.space == model_ckpt.space
 
+    def test_early_stopping_keeps_the_best_epoch(self, model_ckpt, corpora, tmp_path,
+                                                 monkeypatch):
+        # dev TER per epoch: epoch 1 is the best, and patience 1 stops after epoch 3
+        ters = iter([0.5, 0.3, 0.4, 0.4])
+        path = tmp_path / "f.ckpt"
+        on_disk = []  # the file at each epoch end, before that epoch's keep decision
+
+        def scripted_ter(model, utterances):
+            on_disk.append(path.read_bytes())
+            return next(ters)
+
+        monkeypatch.setattr(pipeline, "corpus_ter", scripted_ter)
+        ckpt, history = parameter_finetune(
+            model_ckpt, corpora["target"],
+            cfg("f", "finetune", corpus="target", epochs=10, patience=1), path, seed=4,
+        )
+        assert [e["dev_ter"] for e in history] == [0.5, 0.3, 0.4, 0.4]
+        # the file is always what the stage would return if it stopped now
+        assert on_disk[2] == on_disk[3] == path.read_bytes()
+        loaded = Checkpoint.load(path)
+        best, _ = parameter_finetune(
+            model_ckpt, corpora["target"],
+            cfg("f", "finetune", corpus="target", epochs=2, patience=None),
+            tmp_path / "best.ckpt", seed=4,
+        )
+        for name, arr in best.weights.items():
+            assert loaded.weights[name].tobytes() == ckpt.weights[name].tobytes(), name
+            assert ckpt.weights[name].tobytes() == arr.tobytes(), name
+
     def test_divergence_aborts_and_retains_last_good(self, model_ckpt, tmp_path):
         _, tgt_spec = default_domain_pair(feat_dim=6, vocab_tokens=6)
         poisoned = generate(tgt_spec, {"train": 16, "dev": 8})

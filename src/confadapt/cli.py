@@ -14,11 +14,17 @@ indices allowed, e.g. ``--set stages.0.epochs=3``).
 Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 1 other failures. Errors also emit one machine-parsable JSON record on
 stderr. An invalid configuration exits 2 before any stage runs: a
-value of the wrong type, a ``--set`` path that names no field, a bad
-stage setting, a system or sweep corpus other than source/target, a
-system or sweep split the corpus lacks, a space whose ``feat_dim`` or
-``vocab_size`` does not fit the corpora, or a negative sweep penalty
-factor.
+value of the wrong type, a ``--set`` path that names no field, a
+non-integer or negative seed, a split count below 1, a bad stage
+setting or one the stage's kind never reads, a system or sweep corpus
+other than source/target, a system or sweep split the corpus lacks, a
+space whose ``feat_dim`` or ``vocab_size`` does not fit the corpora, a
+negative sweep penalty factor, or a recipe that
+``pipeline.check_recipe`` refuses (a stage corpus that is unknown or
+lacks a split the stage reads, ``patience`` without a dev split, or an
+input that is not an earlier output or a checkpoint file of the kind
+and space the stage reads). A stage error names its field as
+``config.stages.<index>.<key>``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from pathlib import Path
 
 from .checkpoint import Checkpoint
 from .data import Corpus, DomainSpec, generate
-from .pipeline import StageConfig, logits_from_checkpoint, run_recipe
+from .pipeline import RecipeError, StageConfig, logits_from_checkpoint, run_recipe
 from .report import (
     arch_table,
     evaluation_report,
@@ -89,6 +95,29 @@ def _build(cls, d, path):
     return _read(path, lambda kwargs: cls(**kwargs), d)
 
 
+def _integer(path, value, least):
+    """``value``, if it is a JSON integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{path}: expected an integer >= {least}, got {value!r}", field=path)
+    return value
+
+
+def _stage(d, path):
+    """The StageConfig of ``d``, refusing a setting its kind never reads."""
+    kind = _typed(d, dict, path).get("kind")
+    if kind in StageConfig.KINDS:  # an unknown kind is StageConfig's to refuse
+        unread = sorted(set(d) - set(StageConfig.keys(kind)))
+        if unread:
+            raise ConfigError(f"{path}.{unread[0]}: a {kind} stage never reads {unread[0]!r}",
+                              field=f"{path}.{unread[0]}")
+    try:
+        return StageConfig(**d)
+    except RecipeError as exc:
+        raise ConfigError(f"{path}.{exc.key}: {exc}", field=f"{path}.{exc.key}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"{path}: {exc}", field=path) from exc
+
+
 class RunConfig:
     TOP_KEYS = ("schema_version", "seed", "out_dir", "data", "space", "stages",
                 "systems", "sweep")
@@ -100,7 +129,7 @@ class RunConfig:
                 f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}",
                 field="config.schema_version",
             )
-        self.seed = _read("config.seed", int, raw.get("seed", 0))
+        self.seed = _integer("config.seed", raw.get("seed", 0), 0)
         self.out_dir = Path(raw["out_dir"])
         self.data = None
         if "data" in raw:
@@ -113,7 +142,7 @@ class RunConfig:
                                 required=("spec", "counts"))
                     spec = _build(DomainSpec, d[dom]["spec"], f"config.data.{dom}.spec")
                     counts = _typed(d[dom]["counts"], dict, f"config.data.{dom}.counts")
-                    counts = {k: _read(f"config.data.{dom}.counts.{k}", int, v)
+                    counts = {k: _integer(f"config.data.{dom}.counts.{k}", v, 1)
                               for k, v in counts.items()}
                     self.data[dom] = (spec, counts)
         self.space = None
@@ -121,7 +150,7 @@ class RunConfig:
             self.space = _build(ArchSpace, raw["space"], "config.space")
         self.stages = []
         for i, st in enumerate(_typed(raw.get("stages", []), list, "config.stages")):
-            self.stages.append(_build(StageConfig, st, f"config.stages.{i}"))
+            self.stages.append(_stage(st, f"config.stages.{i}"))
         self.systems = []
         for i, s in enumerate(_typed(raw.get("systems", []), list, "config.systems")):
             _check_keys(s, ("name", "checkpoint", "corpus", "split"),
@@ -288,10 +317,11 @@ def cmd_sweep(cfg, _args):
     return _emit(report, cfg.out_dir, "sweep")
 
 
-def _error_record(exc, code):
+def _error_record(exc, code, field=None):
     rec = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    if getattr(exc, "field", None):
-        rec["field"] = exc.field
+    field = field or getattr(exc, "field", None)
+    if field:
+        rec["field"] = field
     return json.dumps(rec, sort_keys=True)
 
 
@@ -326,6 +356,9 @@ def main(argv=None):
         return handlers[args.command](cfg, args)
     except ConfigError as exc:
         print(_error_record(exc, 2), file=sys.stderr)
+        return 2
+    except RecipeError as exc:  # found by check_recipe, before the first stage runs
+        print(_error_record(exc, 2, f"config.stages.{exc.stage}.{exc.key}"), file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(_error_record(exc, 3), file=sys.stderr)

@@ -19,6 +19,17 @@ Stage kinds:
 - ``finetune``: continue training a derived model on the stage corpus,
   optionally reinitializing the token output projections first.
 
+``StageConfig.KINDS`` is the one table of what each kind reads and
+writes: its input and output checkpoint kinds, the settings it reads
+and the corpus splits it needs. Every kind runs through one epoch loop
+and supplies only its step and its epoch end, which keeps the epoch or
+not, then stops or not. A kept epoch is saved and becomes the stage's
+result, so the file on disk is always the checkpoint the stage would
+return if it stopped now. Search kinds, and train kinds without
+``patience``, keep every epoch; with ``patience`` a kind keeps an epoch
+only when its dev TER improves. ``check_recipe`` refuses a recipe that
+cannot run to its end before its first stage runs.
+
 Each stage derives all of its randomness from its own seed, so a recipe
 resumed at any stage boundary reproduces an uninterrupted run
 bit-exactly. A checkpoint holds what the next stage reads (weights,
@@ -34,6 +45,7 @@ import time
 import zlib
 
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +64,35 @@ class TrainingDivergedError(RuntimeError):
 
 
 class RecipeError(ValueError):
-    """Recipe stages are malformed or out of order."""
+    """Recipe stages are malformed or out of order. ``key`` names the
+    offending stage setting, and ``stage`` the stage's index once
+    ``check_recipe`` has found it."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
+        self.stage = None
+
+
+class StageInputError(RecipeError, IncompatibleCheckpointError):
+    """A stage's input checkpoint does not fit the stage."""
+
+
+@dataclass(frozen=True)
+class StageKind:
+    """What a stage kind reads and writes."""
+
+    input: str | None  # the checkpoint kind it starts from; None: from scratch
+    output: str  # the checkpoint kind it writes
+    settings: tuple  # the StageConfig fields it reads besides SHARED and input
+    splits: dict  # each corpus split it reads -> the setting that makes it read it
+
+
+# the search kinds' own settings, and the splits each family of kinds reads;
+# a split maps to the setting that makes a stage read it (every stage has a corpus)
+_SEARCH = ("lr_logits", "eta", "t_start", "t_end")
+_SEARCH_SPLITS = {"train": "corpus", "heldout": "corpus"}
+_TRAIN_SPLITS = {"train": "corpus", "dev": "patience"}
 
 
 @dataclass
@@ -74,31 +114,54 @@ class StageConfig:
     reinit_output: bool = False
     patience: int = None
 
-    KINDS = ("pretrain", "adapt", "derive", "finetune")
+    # the fields every kind reads
+    SHARED = ("name", "kind", "corpus", "epochs", "batch_size", "lr_weights", "seed", "output")
+    KINDS = {
+        "pretrain": StageKind(None, "supernet", _SEARCH, _SEARCH_SPLITS),
+        "adapt": StageKind("supernet", "supernet", _SEARCH, _SEARCH_SPLITS),
+        "derive": StageKind("supernet", "model", ("init", "patience"), _TRAIN_SPLITS),
+        "finetune": StageKind("model", "model", ("reinit_output", "patience"), _TRAIN_SPLITS),
+    }
     INITS = ("inherit", "fresh")
 
     def __post_init__(self):
+        def refuse(key, message):
+            raise RecipeError(f"stage {self.name!r}: {message}", key)
+
         if self.kind not in self.KINDS:
-            raise RecipeError(f"stage {self.name!r}: unknown kind {self.kind!r}")
-        for field, least in (("epochs", 0), ("batch_size", 1), ("patience", 0)):
+            refuse("kind", f"unknown kind {self.kind!r}")
+        for field, least in (("epochs", 0), ("batch_size", 1), ("patience", 0), ("seed", 0)):
             v = getattr(self, field)
-            if field == "patience" and v is None:
+            if field in ("patience", "seed") and v is None:
                 continue
             if isinstance(v, bool) or not isinstance(v, int) or v < least:
-                raise RecipeError(f"stage {self.name!r}: {field} must be an integer "
-                                  f">= {least}, got {v!r}")
+                refuse(field, f"{field} must be an integer >= {least}, got {v!r}")
         for field in ("lr_weights", "lr_logits"):
             if not 0 < getattr(self, field) < math.inf:
-                raise RecipeError(f"stage {self.name!r}: {field} must be finite and positive, "
-                                  f"got {getattr(self, field)!r}")
+                refuse(field, f"{field} must be finite and positive, got {getattr(self, field)!r}")
         if self.init not in self.INITS:
-            raise RecipeError(f"stage {self.name!r}: init must be one of {self.INITS}, "
-                              f"got {self.init!r}")
+            refuse("init", f"init must be one of {self.INITS}, got {self.init!r}")
         if not self.eta >= 0:
-            raise RecipeError(f"stage {self.name!r}: eta must be nonnegative, got {self.eta}")
+            refuse("eta", f"eta must be nonnegative, got {self.eta}")
         if not self.t_start >= self.t_end > 0:
-            raise RecipeError(f"stage {self.name!r}: need t_start >= t_end > 0, "
-                              f"got {self.t_start} and {self.t_end}")
+            refuse("t_end", f"need t_start >= t_end > 0, got {self.t_start} and {self.t_end}")
+
+    @classmethod
+    def keys(cls, kind):
+        """The fields a stage of ``kind`` reads; none for an unknown kind."""
+        k = cls.KINDS.get(kind)
+        if k is None:
+            return ()
+        if k.input is None:
+            return cls.SHARED + k.settings
+        return cls.SHARED + ("input",) + k.settings
+
+    def check_splits(self, corpus):
+        """Refuse a corpus that lacks a split this stage reads."""
+        for split, setting in self.KINDS[self.kind].splits.items():
+            if getattr(self, setting) is not None and not corpus.split(split):
+                raise RecipeError(f"stage {self.name!r}: {setting} needs a {split} split, "
+                                  f"and corpus {self.corpus!r} has none", setting)
 
 
 def sub_seed(seed, tag):
@@ -184,10 +247,7 @@ def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
     on disk is always the checkpoint the stage would return if it stopped
     now. A step raises ``FloatingPointError`` on a non-finite loss or gradient.
     """
-    if not corpus.split("train") or cfg.kind in ("pretrain", "adapt") and not corpus.split("heldout"):
-        raise ValueError(f"stage {cfg.name!r}: corpus lacks a split a {cfg.kind} stage trains on")
-    if cfg.patience is not None and not corpus.split("dev"):
-        raise ValueError(f"stage {cfg.name!r}: patience needs a dev split")
+    cfg.check_splits(corpus)
     rng = np.random.default_rng(sub_seed(seed, "loop"))
     kept = snapshot()
     kept.save(out_path)
@@ -318,7 +378,60 @@ def parameter_finetune(ckpt, corpus, cfg, out_path, seed=0):
 # recipes
 # ---------------------------------------------------------------------
 
-_STAGE_INPUT_KIND = {"adapt": "supernet", "derive": "supernet", "finetune": "model"}
+
+def check_recipe(stages, corpora, space):
+    """Refuse a recipe that cannot run to its end, before its first stage runs.
+
+    Each stage needs a unique name and output, a known corpus with the
+    splits the stage reads, and, unless it starts from scratch, an input:
+    an earlier stage's output or a checkpoint file, of the checkpoint kind
+    the stage reads and, for a file, of the configured space. A refusal
+    is a ``RecipeError`` naming the stage's index and setting; an input
+    that does not fit is a ``StageInputError``.
+    """
+    names, made = set(), {}  # made: each earlier output -> its checkpoint kind
+    for i, cfg in enumerate(stages):
+        out_name = cfg.output or cfg.name
+        try:
+            if cfg.name in names:
+                raise RecipeError(f"stage names must be unique, got {cfg.name!r} twice", "name")
+            if out_name in made:
+                raise RecipeError(f"stage outputs must be unique, got {out_name!r} twice",
+                                  "output")
+            if cfg.corpus not in corpora:
+                raise RecipeError(f"stage {cfg.name!r}: unknown corpus {cfg.corpus!r}", "corpus")
+            cfg.check_splits(corpora[cfg.corpus])
+            _check_input(cfg, made, space)
+        except RecipeError as exc:
+            exc.stage = i
+            raise
+        names.add(cfg.name)
+        made[out_name] = StageConfig.KINDS[cfg.kind].output
+
+
+def _check_input(cfg, made, space):
+    want = StageConfig.KINDS[cfg.kind].input
+    if want is None:
+        return
+    if cfg.input is None:
+        raise RecipeError(f"stage {cfg.name!r}: kind {cfg.kind!r} requires an input", "input")
+    if cfg.input in made:
+        got = made[cfg.input]
+    elif Path(cfg.input).exists():
+        try:
+            ckpt = Checkpoint.load(cfg.input)
+        except IncompatibleCheckpointError as exc:
+            raise StageInputError(f"stage {cfg.name!r}: {exc}", "input") from exc
+        if ckpt.space != space:
+            raise StageInputError(f"stage {cfg.name!r}: checkpoint space differs from the "
+                                  f"configured space", "input")
+        got = ckpt.kind
+    else:
+        raise RecipeError(f"stage {cfg.name!r}: input {cfg.input!r} is neither an earlier "
+                          f"stage output nor an existing checkpoint file", "input")
+    if got != want:
+        raise StageInputError(f"stage {cfg.name!r}: input {cfg.input!r} is a {got} checkpoint; "
+                              f"kind {cfg.kind!r} requires a {want} checkpoint", "input")
 
 
 def run_recipe(stages, corpora, out_dir, space, seed=0):
@@ -327,66 +440,29 @@ def run_recipe(stages, corpora, out_dir, space, seed=0):
     ``corpora`` maps corpus tags (source/target) to loaded corpora. Stage
     inputs name earlier stage outputs, or point at existing checkpoint
     files (absolute/relative paths), which lets several recipes share a
-    pre-trained supernet.
+    pre-trained supernet. ``check_recipe`` checks the whole recipe first.
     """
-    from pathlib import Path
-
-    names = [st.name for st in stages]
-    if len(set(names)) != len(names):
-        raise RecipeError(f"stage names must be unique, got {names}")
-    outputs = [st.output or st.name for st in stages]
-    if len(set(outputs)) != len(outputs):
-        raise RecipeError(f"stage outputs must be unique, got {outputs}")
+    check_recipe(stages, corpora, space)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    produced = {}
     report = {"stages": [], "checkpoints": {}}
-    for cfg, out_name in zip(stages, outputs):
-        if cfg.corpus not in corpora:
-            raise RecipeError(f"stage {cfg.name!r}: unknown corpus {cfg.corpus!r}")
+    for cfg in stages:
+        out_name = cfg.output or cfg.name
         out_path = out_dir / f"{out_name}.ckpt"
         # seeds key off the stage name, so the same named stage reproduces
         # bit-exactly whether run inline or shared across sweep arms
         stage_seed = cfg.seed if cfg.seed is not None else sub_seed(seed, f"stage:{cfg.name}")
-
-        in_ckpt = None
-        if cfg.kind != "pretrain":
-            if cfg.input is None:
-                raise RecipeError(f"stage {cfg.name!r}: kind {cfg.kind!r} requires an input")
-            if cfg.input in produced:
-                in_path = produced[cfg.input]
-            elif Path(cfg.input).exists():
-                in_path = Path(cfg.input)
-            else:
-                raise RecipeError(
-                    f"stage {cfg.name!r}: input {cfg.input!r} is neither an earlier "
-                    f"stage output nor an existing checkpoint file"
-                )
-            in_ckpt = Checkpoint.load(in_path)
-            want = _STAGE_INPUT_KIND[cfg.kind]
-            if in_ckpt.kind != want:
-                raise RecipeError(
-                    f"stage {cfg.name!r}: input {cfg.input!r} is a {in_ckpt.kind} "
-                    f"checkpoint; kind {cfg.kind!r} requires a {want} checkpoint"
-                )
-            if in_ckpt.space != space:
-                raise IncompatibleCheckpointError(
-                    f"stage {cfg.name!r}: checkpoint space differs from the configured space"
-                )
-
         corpus = corpora[cfg.corpus]
         t0 = time.monotonic()
-        if cfg.kind == "pretrain":
+        if StageConfig.KINDS[cfg.kind].input is None:
             ckpt, history = pretrain_supernet(corpus, cfg, space, out_path, seed=stage_seed)
-        elif cfg.kind == "adapt":
-            ckpt, history = adapt_supernet(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
-        elif cfg.kind == "derive":
-            ckpt, history = derive_model(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
         else:
-            ckpt, history = parameter_finetune(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
+            stage = {"adapt": adapt_supernet, "derive": derive_model,
+                     "finetune": parameter_finetune}[cfg.kind]
+            in_ckpt = Checkpoint.load(report["checkpoints"].get(cfg.input, cfg.input))
+            ckpt, history = stage(in_ckpt, corpus, cfg, out_path, seed=stage_seed)
         wall = time.monotonic() - t0
 
-        produced[out_name] = out_path
         entry = {
             "name": cfg.name,
             "kind": cfg.kind,

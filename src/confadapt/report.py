@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .checkpoint import Checkpoint
 from .data import median_split
-from .pipeline import error_rate, model_from_checkpoint, run_recipe, utterance_errors
+from .pipeline import (StageConfig, check_recipe, error_rate, model_from_checkpoint,
+                       run_recipe, utterance_errors)
 from .space import DEC_GROUPS_SHARED, DEC_GROUPS_SPLIT, ENC_GROUPS
 
 REPORT_SCHEMA_VERSION = 1
@@ -48,7 +49,7 @@ def system_record(name, ckpt_path, corpus, split="test"):
     """Evaluation record for one derived-model checkpoint."""
     ckpt = Checkpoint.load(ckpt_path)
     model = model_from_checkpoint(ckpt)
-    etas = [e.get("eta") for e in ckpt.lineage if e.get("kind") in ("pretrain", "adapt")]
+    etas = [e.get("eta") for e in ckpt.lineage if "eta" in StageConfig.keys(e.get("kind"))]
     return {
         "name": name,
         "checkpoint": str(ckpt_path),
@@ -115,12 +116,14 @@ def sweep(eta_list, stages, corpora, out_dir, space, seed=0, eval_corpus="target
 
     The leading pretrain stage (if any) runs once; every arm then runs
     the remaining stages with its own penalty factor applied to the
-    search stages. Failures in one arm are recorded without aborting the
-    others; a negative penalty factor is refused before anything runs.
+    stages that read one. Failures in one arm are recorded without
+    aborting the others; a negative penalty factor or a recipe that
+    ``check_recipe`` refuses is refused before anything runs.
     """
     bad = [eta for eta in eta_list if not eta >= 0]
     if bad:
         raise ValueError(f"sweep: penalty factors must be nonnegative, got {bad}")
+    check_recipe(stages, corpora, space)
     out_dir = Path(out_dir)
     rest = list(stages)
     shared = {}
@@ -134,7 +137,7 @@ def sweep(eta_list, stages, corpora, out_dir, space, seed=0, eval_corpus="target
         # arm inputs naming the shared output read the shared checkpoint
         arm_stages = [
             replace(st, input=shared.get(st.input, st.input),
-                    eta=eta if st.kind in ("pretrain", "adapt") else st.eta)
+                    eta=eta if "eta" in StageConfig.keys(st.kind) else st.eta)
             for st in rest
         ]
         arm_dir = out_dir / f"eta_{i}"

@@ -56,6 +56,19 @@ def write_config(tmp_path, cfg):
     return str(p)
 
 
+# stands for a data directory whose target corpus has no dev split
+NO_DEV = "<no target dev split>"
+
+
+@pytest.fixture(scope="module")
+def no_dev_data(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("no_dev")
+    cfg = base_config(tmp_path)
+    del cfg["data"]["target"]["counts"]["dev"]
+    assert main(["gen-data", "-c", write_config(tmp_path, cfg)]) == 0
+    return cfg["data"]["dir"]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -166,17 +179,24 @@ class TestConfigValidation:
         assert "schema_version" in json.loads(capsys.readouterr().err.strip())["field"]
 
     def test_bad_stage_kind(self, tmp_path, capsys):
-        # bad stage settings are rejected when the config loads, before
-        # any stage runs
-        for bad in ({"kind": "banana"}, {"init": "inherrit"}, {"eta": -0.1},
-                    {"t_end": 0.0}, {"t_start": 0.05, "t_end": 0.1},
-                    {"epochs": 1.5}, {"batch_size": 8.0}, {"patience": 1.5},
-                    {"patience": -1}, {"lr_weights": float("nan")}, {"lr_weights": -1e-3},
-                    {"lr_logits": float("inf")}, {"lr_logits": 0.0}):
+        # bad stage settings, and settings a stage's kind never reads, are
+        # rejected when the config loads, before any stage runs; stages 0-1
+        # search, 2-3 derive and 4-5 finetune
+        for i, bad in ((0, {"kind": "banana"}), (2, {"init": "inherrit"}), (0, {"eta": -0.1}),
+                       (0, {"t_end": 0.0}), (1, {"t_start": 0.05, "t_end": 0.1}),
+                       (0, {"epochs": 1.5}), (0, {"batch_size": 8.0}), (2, {"patience": 1.5}),
+                       (4, {"patience": -1}), (0, {"lr_weights": float("nan")}),
+                       (0, {"lr_weights": -1e-3}), (0, {"lr_logits": float("inf")}),
+                       (1, {"lr_logits": 0.0}),
+                       (0, {"patience": 1}), (4, {"init": "fresh"}), (2, {"lr_logits": 1e-3}),
+                       (3, {"eta": 0.0}), (2, {"reinit_output": True}), (0, {"input": "sn_src"}),
+                       (3, {"seed": -1}), (3, {"seed": "abc"}), (0, {"seed": True}),
+                       (5, {"seed": 2.0})):
             cfg = base_config(tmp_path)
-            cfg["stages"][0].update(bad)
+            cfg["stages"][i].update(bad)
             assert main(["run", "-c", write_config(tmp_path, cfg)]) == 2, bad
-            assert "stages.0" in json.loads(capsys.readouterr().err.strip())["field"]
+            field = json.loads(capsys.readouterr().err.strip())["field"]
+            assert field in {f"config.stages.{i}.{key}" for key in bad}, (bad, field)
 
     def test_set_overrides_scalar(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -216,9 +236,27 @@ class TestConfigValidation:
         ("run", {}, ["space.feat_dim=5"], "config.space.feat_dim"),
         ("run", {}, ["space.vocab_size=8"], "config.space.vocab_size"),
         ("sweep", {}, ["space.feat_dim=5"], "config.space.feat_dim"),
+        # a stage setting refused by StageConfig, and a recipe refused by
+        # check_recipe, name the stage's field; sweep refuses before it pre-trains
+        ("run", {}, ["stages.2.corpus=tgt"], "config.stages.2.corpus"),
+        ("sweep", {}, ["stages.2.corpus=tgt"], "config.stages.2.corpus"),
+        ("run", {}, ["stages.3.input=nope"], "config.stages.3.input"),
+        ("sweep", {}, ["stages.4.input=nope"], "config.stages.4.input"),
+        ("run", {}, ["stages.4.input=sn_src"], "config.stages.4.input"),
+        ("run", {"stages.3.seed": "abc"}, [], "config.stages.3.seed"),
+        ("run", {"stages.0.seed": -1}, [], "config.stages.0.seed"),
+        ("run", {"stages.0.patience": 1}, [], "config.stages.0.patience"),
+        ("run", {"data.dir": NO_DEV, "stages.4.patience": 1}, [], "config.stages.4.patience"),
+        ("run", {"seed": 2.9}, [], "config.seed"),
+        ("run", {"seed": True}, [], "config.seed"),
+        ("run", {"seed": "7"}, [], "config.seed"),
+        ("run", {"seed": -1}, [], "config.seed"),
+        ("run", {"data.source.counts.train": 1.5}, [], "config.data.source.counts.train"),
+        ("run", {"data.target.counts.dev": True}, [], "config.data.target.counts.dev"),
+        ("run", {"data.target.counts.test": 0}, [], "config.data.target.counts.test"),
     ])
-    def test_invalid_config_exits_2_before_any_stage(self, workspace, tmp_path, capsys,
-                                                     command, edit, overrides, field):
+    def test_invalid_config_exits_2_before_any_stage(self, workspace, no_dev_data, tmp_path,
+                                                     capsys, command, edit, overrides, field):
         data_dir = workspace[1]["data"]["dir"]
         cfg = base_config(tmp_path)
         cfg["data"]["dir"] = data_dir
@@ -226,8 +264,10 @@ class TestConfigValidation:
             *parents, leaf = path.split(".")
             node = cfg
             for p in parents:
-                node = node[p]
-            node[leaf] = value
+                node = node[int(p)] if isinstance(node, list) else node[p]
+            node[int(leaf) if isinstance(node, list) else leaf] = value
+        if cfg["data"]["dir"] == NO_DEV:
+            cfg["data"]["dir"] = no_dev_data
         args = [command, "-c", write_config(tmp_path, cfg)]
         for o in overrides:
             args += ["--set", o]

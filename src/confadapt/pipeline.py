@@ -417,7 +417,7 @@ def _check_input(cfg, made, space):
         raise RecipeError(f"stage {cfg.name!r}: kind {cfg.kind!r} requires an input", "input")
     if cfg.input in made:
         got = made[cfg.input]
-    elif Path(cfg.input).exists():
+    elif Path(cfg.input).is_file():
         try:
             ckpt = Checkpoint.load(cfg.input)
         except IncompatibleCheckpointError as exc:

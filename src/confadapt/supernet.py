@@ -33,8 +33,6 @@ from .losses import hybrid_batch_loss
 from .space import ENC_GROUPS, DerivedArch
 from .tensor import ShapeError, Tensor
 
-NEG_FILL = -1.0e30
-
 
 @dataclass
 class ForwardOut:
@@ -108,17 +106,8 @@ def _attn_mask(batch, t_q, t_k, key_pad, causal):
 
 def attn_core(q, k, v, head_dim, key_pad=None, causal=False):
     """Scaled dot-product attention over (B, T, H, head_dim) inputs."""
-    b, t_q = q.shape[0], q.shape[1]
-    t_k = k.shape[1]
-    qt = q.transpose(0, 2, 1, 3)
-    kt = k.transpose(0, 2, 3, 1)
-    scores = (qt @ kt) * (float(head_dim) ** -0.5)
-    mask = _attn_mask(b, t_q, t_k, key_pad, causal)
-    if mask is not None:
-        scores = T.masked_fill(scores, mask, NEG_FILL)
-    attn = T.softmax(scores, axis=-1)
-    ctx = attn @ v.transpose(0, 2, 1, 3)
-    return ctx.transpose(0, 2, 1, 3)
+    mask = _attn_mask(q.shape[0], q.shape[1], k.shape[1], key_pad, causal)
+    return T.attention(q, k, v, mask, float(head_dim) ** -0.5)
 
 
 # ---------------------------------------------------------------------
@@ -159,11 +148,11 @@ class SearchableFF:
         if isinstance(sel, Tensor):
             # sum_i lam_i * branch_i(x) collapses to one pass with per-column
             # cumulative weights, since column j feeds every branch wider than j
-            h = T.swish(x @ self.w1 + self.b1)
+            h = T.swish(T.linear(x, self.w1, self.b1))
             colw = (sel.reshape(1, -1) @ self._prefix_cols).reshape(self.width)
-            return (h * colw) @ self.w2 + self.b2
+            return T.linear(h * colw, self.w2, self.b2)
         w1, b1, w2 = self._slice(sel, self.w1, self.b1, self.w2)
-        return T.swish(x @ w1 + b1) @ w2 + self.b2
+        return T.linear(T.swish(T.linear(x, w1, b1)), w2, self.b2)
 
     def export(self, fd):
         return _export(self.prefix, ("w1", "b1", "w2"),
@@ -211,7 +200,8 @@ class SearchableAttention:
         return wo.reshape(self.h_max, self.a_max, self.d)[:h, :a, :].reshape(h * a, self.d)
 
     def _proj_in(self, w, b, x, h, a):
-        return (x @ self._in_slice(w, h, a) + self._in_slice(b, h, a)).reshape(*x.shape[:2], h, a)
+        y = T.linear(x, self._in_slice(w, h, a), self._in_slice(b, h, a))
+        return y.reshape(*x.shape[:2], h, a)
 
     def __call__(self, x_q, x_kv, sel_h, sel_a, key_pad=None, causal=False):
         """``sel_h``, ``sel_a``: mixing weights over ``h_choices`` and
@@ -223,7 +213,7 @@ class SearchableAttention:
             k = self._proj_in(self.wk, self.bk, x_kv, h, a)
             v = self._proj_in(self.wv, self.bv, x_kv, h, a)
             ctx = attn_core(q, k, v, a, key_pad, causal)
-            return ctx.reshape(b, t_q, h * a) @ self._out_slice(self.wo, h, a) + self.bo
+            return T.linear(ctx.reshape(b, t_q, h * a), self._out_slice(self.wo, h, a), self.bo)
         # one attention per head dim over all heads and value dims; each
         # context column is weighted by the candidates that read it
         qf = self._proj_in(self.wq, self.bq, x_q, self.h_max, self.a_max)
@@ -237,7 +227,7 @@ class SearchableAttention:
             colw = (lam_h @ self._cols[ai]).reshape(-1) * sel_a[ai]
             term = ctx_a.reshape(b, t_q, -1) * colw
             ctx = term if ctx is None else ctx + term
-        return ctx @ self.wo + self.bo
+        return T.linear(ctx, self.wo, self.bo)
 
     def export(self, h, a):
         arrays = [self._in_slice(getattr(self, n).data, h, a) for n in self._IN]
@@ -270,15 +260,15 @@ class SearchableConv:
 
     def __call__(self, x, sel):
         """``sel``: mixing weights over ``choices`` (Tensor) or a kernel size."""
-        u = T.glu(x @ self.pw1 + self.pb1)
+        u = T.glu(T.linear(x, self.pw1, self.pb1))
         if not isinstance(sel, Tensor):
-            return self._act(u, sel) @ self.pw2 + self.pb2
+            return T.linear(self._act(u, sel), self.pw2, self.pb2)
         # pw2 is linear; pb2 keeps the total mixing weight it has in the branch sum
         y = None
         for ki, ck in enumerate(self.choices):
             term = self._act(u, ck) * sel[ki]
             y = term if y is None else y + term
-        return y @ self.pw2 + self.pb2 * sel.sum()
+        return T.linear(y, self.pw2, self.pb2 * sel.sum())
 
     def export(self, ck):
         return _export(self.prefix, ("dw",), (self._slice(ck, self.dw.data),))
@@ -446,7 +436,7 @@ class _ConformerCore:
         for dw, db, pw, pb in self.front:
             x = T.masked_fill(x, self._pad_mask(lens, x.shape[1])[:, :, None], 0.0)
             x = T.depthwise_conv1d(x, dw, db)
-            x = T.swish(x @ pw + pb)[:, ::2, :]
+            x = T.swish(T.linear(x, pw, pb))[:, ::2, :]
             lens = (lens + 1) // 2
         return x + self._posenc(x.shape[1]), lens, self._pad_mask(lens, x.shape[1])
 
@@ -467,7 +457,7 @@ class _ConformerCore:
         for blk in self.enc_blocks:
             x = blk.forward(x, pad, sel)
         enc = self.enc_final(x)
-        ctc_lp = T.log_softmax(enc @ self.ctc_w + self.ctc_b, axis=-1)
+        ctc_lp = T.log_softmax(T.linear(enc, self.ctc_w, self.ctc_b), axis=-1)
         return enc, enc_lens, pad, ctc_lp
 
     def _decode(self, enc, enc_pad, tokens_in, sel):
@@ -476,7 +466,7 @@ class _ConformerCore:
         x = x + self._posenc(x.shape[1])
         for blk in self.dec_blocks:
             x = blk.forward(x, enc, enc_pad, sel)
-        return self.dec_final(x) @ self.out_w + self.out_b
+        return T.linear(self.dec_final(x), self.out_w, self.out_b)
 
     def _forward(self, features, lens, tokens_in, sel):
         enc, enc_lens, pad, ctc_lp = self._encode(features, lens, sel)

@@ -1,8 +1,11 @@
 """Float64 tensors with reverse-mode automatic differentiation.
 
 The operation set is what the searchable Conformer stack and its sequence
-losses need, plus ``concat``, ``stack``, ``logsumexp`` and ``sigmoid``,
-which only tests call (the tape CTC oracle, op tests, criterion 1).
+losses need, plus ``transpose``, ``concat``, ``stack``, ``logsumexp`` and
+``sigmoid``, which only tests call (the tape attention and CTC oracles,
+op tests, criterion 1). Attention and every affine projection are one
+structured op each, ``attention`` and ``linear``, with a closed-form
+backward, like ``layer_norm``, ``depthwise_conv1d`` and the CTC loss.
 Constraints that keep the gradient rules small and testable:
 
 - all values are 64-bit floats,
@@ -34,6 +37,9 @@ class ShapeError(ValueError):
 
 
 _GRAD_ENABLED = True
+
+# attention score of a masked query-key pair: exp underflows to exactly 0
+NEG_FILL = -1.0e30
 
 
 class no_grad:
@@ -597,6 +603,73 @@ def embedding(table, ids):
             np.add.at(_grad_buffer(table), ids, g)
 
     return _from_op(data, (table,), bw)
+
+
+def linear(x, w, b):
+    """Affine projection ``x @ w + b``: ``w`` is (in, out), ``b`` is (out,)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: shapes {x.data.shape} and {w.data.shape} do not conform")
+    n_in, n_out = w.data.shape
+    if b.data.shape != (n_out,):
+        raise ShapeError(f"linear: bias shape {b.data.shape} != {(n_out,)}")
+    data = x.data @ w.data + b.data
+
+    def bw(g):
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out))
+
+    return _from_op(data, (x, w, b), bw)
+
+
+def attention(q, k, v, mask, scale):
+    """Scaled dot-product attention over (batch, time, heads, dim) operands.
+
+    ``q`` is (B, Tq, H, d), ``k`` is (B, Tk, H, d) and ``v`` is
+    (B, Tk, H, dv); the result is (B, Tq, H, dv). ``mask`` is None or a
+    bool array broadcastable to (B, H, Tq, Tk), True where a query must
+    not see a key; those scores are set to ``NEG_FILL`` before the softmax.
+    Backward keeps only the probabilities P and applies the closed-form
+    softmax rule dS = P * (dP - rowsum(dP * P)), zero where masked.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    if (q.data.ndim != 4 or k.data.ndim != 4 or v.data.ndim != 4
+            or sq[0] != sk[0] or sq[2:] != sk[2:] or sk[:3] != sv[:3]):
+        raise ShapeError(f"attention: shapes {sq}, {sk} and {sv} do not conform")
+    qt = np.transpose(q.data, (0, 2, 1, 3))
+    kt = np.transpose(k.data, (0, 2, 3, 1))
+    vt = np.transpose(v.data, (0, 2, 1, 3))
+    scores = (qt @ kt) * scale
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+        scores = np.where(mask, NEG_FILL, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = np.transpose(p @ vt, (0, 2, 1, 3))
+
+    def bw(g):
+        # products sum in an order that may depend on operand layout, so
+        # fix the layout of the upstream gradient
+        dc = np.ascontiguousarray(np.transpose(g, (0, 2, 1, 3)))
+        if q.requires_grad or k.requires_grad:
+            dp = dc @ np.swapaxes(vt, -1, -2)
+            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+            if mask is not None:
+                ds = np.where(mask, 0.0, ds)
+            ds = ds * scale
+            if q.requires_grad:
+                _accumulate(q, np.transpose(ds @ np.swapaxes(kt, -1, -2), (0, 2, 1, 3)))
+            if k.requires_grad:
+                _accumulate(k, np.transpose(np.swapaxes(qt, -1, -2) @ ds, (0, 3, 1, 2)))
+        if v.requires_grad:
+            _accumulate(v, np.transpose(np.swapaxes(p, -1, -2) @ dc, (0, 2, 1, 3)))
+
+    return _from_op(data, (q, k, v), bw)
 
 
 def masked_fill(x, mask, value):

@@ -1,5 +1,6 @@
 """Supernet mixing, one-hot equivalence, materialization, param counts."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from confadapt.space import (
     param_count,
     _linear_params,
 )
+from confadapt import supernet as S
+from confadapt import tensor as T
 from confadapt.search import ArchLogits, sample_weights
 from confadapt.supernet import ConformerSupernet, one_hot_weights
 from confadapt.tensor import ShapeError, Tensor, backward, no_grad
@@ -152,6 +155,42 @@ def assert_same_on_tape(fn, oracle, leaves, seed, atol=1e-12):
         np.testing.assert_allclose(g, e, rtol=0, atol=atol, err_msg=f"leaf {i}")
 
 
+def tape_attn_core(q, k, v, head_dim, key_pad=None, causal=False):
+    """Scaled dot-product attention as nine recorded tape ops, kept as the
+    oracle for the fused ``tensor.attention`` that ``attn_core`` calls."""
+    b, t_q = q.shape[0], q.shape[1]
+    t_k = k.shape[1]
+    qt = q.transpose(0, 2, 1, 3)
+    kt = k.transpose(0, 2, 3, 1)
+    scores = (qt @ kt) * (float(head_dim) ** -0.5)
+    mask = S._attn_mask(b, t_q, t_k, key_pad, causal)
+    if mask is not None:
+        scores = T.masked_fill(scores, mask, T.NEG_FILL)
+    attn = T.softmax(scores, axis=-1)
+    ctx = attn @ v.transpose(0, 2, 1, 3)
+    return ctx.transpose(0, 2, 1, 3)
+
+
+def attention_cases(model):
+    """(module, query length, key length, key padding, causal): padded
+    encoder self-attention, causal decoder self-attention and padded
+    cross-attention."""
+    dec = model.dec_blocks[0]
+    t_q, t_kv = 5, 7
+    key_pad = np.arange(t_kv)[None, :] >= np.array([[t_kv], [t_kv - 3]])
+    return [(model.enc_blocks[0].attn, t_kv, t_kv, key_pad, False),
+            (dec.self_attn, t_q, t_q, None, True),
+            (dec.cross_attn, t_q, t_kv, key_pad, False)]
+
+
+def attention_inputs(space, tq, tk, draw):
+    """Query and key/value inputs; the same tensor when the lengths agree."""
+    x_q = Tensor(draw.normal(size=(2, tq, space.model_dim)), requires_grad=True)
+    x_kv = x_q if tk == tq else Tensor(
+        draw.normal(size=(2, tk, space.model_dim)), requires_grad=True)
+    return x_q, x_kv
+
+
 def padded_input(space, draw, b=2, t=7):
     """Random (b, t, model_dim) input, trailing frames of the second row zeroed."""
     x = draw.normal(size=(b, t, space.model_dim))
@@ -198,17 +237,8 @@ class TestMixingLinearity:
         space = net.space
         draw = np.random.default_rng(23)
         model = randomized(space, 3)
-        dec = model.dec_blocks[0]
-        t_q, t_kv = 5, 7
-        key_pad = np.arange(t_kv)[None, :] >= np.array([[t_kv], [t_kv - 3]])
-        # (module, query length, key length, key padding, causal)
-        cases = [(model.enc_blocks[0].attn, t_kv, t_kv, key_pad, False),
-                 (dec.self_attn, t_q, t_q, None, True),
-                 (dec.cross_attn, t_q, t_kv, key_pad, False)]
-        for seed, (att, tq, tk, pad, causal) in enumerate(cases * 2):
-            x_q = Tensor(draw.normal(size=(2, tq, space.model_dim)), requires_grad=True)
-            x_kv = x_q if tk == tq else Tensor(
-                draw.normal(size=(2, tk, space.model_dim)), requires_grad=True)
+        for seed, (att, tq, tk, pad, causal) in enumerate(attention_cases(model) * 2):
+            x_q, x_kv = attention_inputs(space, tq, tk, draw)
             lam_h = mixing_weights(len(att.h_choices), draw)
             lam_a = mixing_weights(len(att.a_choices), draw)
 
@@ -222,6 +252,37 @@ class TestMixingLinearity:
             assert_same_on_tape(
                 lambda: att(x_q, x_kv, lam_h, lam_a, pad, causal), oracle,
                 [x_q, x_kv, lam_h, lam_a] + weights, seed)
+
+    def test_fused_attention_matches_tape_oracle(self, net, monkeypatch):
+        # the op alone, then every module forward, mixed and per choice
+        space = net.space
+        draw = np.random.default_rng(24)
+        model = randomized(space, 3)
+        for seed, (att, tq, tk, pad, causal) in enumerate(attention_cases(model)):
+            for a in att.a_choices:
+                q = Tensor(draw.normal(size=(2, tq, att.h_max, a)), requires_grad=True)
+                k, v = (Tensor(draw.normal(size=(2, tk, att.h_max, d)), requires_grad=True)
+                        for d in (a, att.a_max))
+                assert_same_on_tape(
+                    lambda: S.attn_core(q, k, v, a, pad, causal),
+                    lambda: tape_attn_core(q, k, v, a, pad, causal), [q, k, v], seed)
+
+            x_q, x_kv = attention_inputs(space, tq, tk, draw)
+            lam_h = mixing_weights(len(att.h_choices), draw)
+            lam_a = mixing_weights(len(att.a_choices), draw)
+            weights = [getattr(att, n) for n in att._IN + ("wo", "bo")]
+            leaves = [x_q, x_kv, lam_h, lam_a] + weights
+            sels = [(lam_h, lam_a)] + [(h, a) for h in att.h_choices for a in att.a_choices]
+            for sel_h, sel_a in sels:
+                def fused():
+                    return att(x_q, x_kv, sel_h, sel_a, pad, causal)
+
+                def oracle():
+                    with monkeypatch.context() as m:
+                        m.setattr(S, "attn_core", tape_attn_core)
+                        return fused()
+
+                assert_same_on_tape(fused, oracle, leaves, seed)
 
     def test_ff_zero_input_is_bias_image_average(self, net):
         # with zero input the hidden activation depends only on b1, so the
@@ -406,11 +467,15 @@ def tape_nodes(roots):
     return len(recorded(roots))
 
 
+def op_name(node):
+    """Name of the tensor op that recorded ``node``."""
+    return node._backward.__qualname__.split(".")[0]
+
+
 def slices_and_reshapes(roots):
     """Recorded ``tensor_slice`` and ``reshape`` nodes reachable from ``roots``;
     each has its one operand as its only graph edge."""
-    return [n for n in recorded(roots)
-            if n._backward.__qualname__.split(".")[0] in ("tensor_slice", "reshape")]
+    return [n for n in recorded(roots) if op_name(n) in ("tensor_slice", "reshape")]
 
 
 class TestTapeSize:
@@ -450,6 +515,25 @@ class TestTapeSize:
             loss = model.batch_loss(batch)
             cut = [n for n in slices_and_reshapes([loss]) if id(n._parents[0]) in own]
             assert not cut, arch
+
+    @pytest.mark.parametrize("space", [SPACE, SPLIT_SPACE], ids=["space", "split"])
+    def test_attention_and_affine_projections_are_one_node_each(self, space):
+        net = ConformerSupernet(space, seed=0)
+        model = net.materialize(DerivedArch.sample_uniform(space, np.random.default_rng(6)))
+        batch = rand_batch(space)
+        for m, loss in ((model, model.batch_loss(batch)),
+                        (net, net.batch_loss(batch, uniform_weights(space)))):
+            nodes = recorded([loss])
+            kinds = Counter(op_name(n) for n in nodes)
+            assert kinds["transpose"] == 0 and kinds["softmax"] == 0
+            # one node per attention call: one per head dim choice when mixed
+            calls = 1 if m is model else len(space.head_dim_choices)
+            assert kinds["attention"] == calls * (space.encoder_blocks + 2 * space.decoder_blocks)
+            params = {id(p) for p in m.params.values()}
+            affine = [n for n in nodes if op_name(n) == "add" for p in n._parents
+                      if p._backward is not None and op_name(p) == "matmul"
+                      and any(id(o) in params for o in p._parents)]
+            assert not affine
 
 
 class TestValidation:

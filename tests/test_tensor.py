@@ -78,6 +78,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="odd"):
             T.depthwise_conv1d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((4, 2))), np.zeros(2))
 
+    def test_linear_and_attention_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"linear: bias shape \(3,\)"):
+            T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="attention"):
+            T.attention(Tensor(np.zeros((1, 3, 2, 4))), Tensor(np.zeros((1, 5, 2, 3))),
+                        Tensor(np.zeros((1, 5, 2, 4))), None, 0.5)
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
@@ -263,3 +270,40 @@ class TestGradChecks:
 
     def test_sum_axis(self):
         check_grads(lambda x: (x.sum(axis=0) * x.sum(axis=0)).sum(), [_rand(3, 4)])
+
+    def test_linear(self):
+        check_grads(
+            lambda x, w, b: (T.linear(x, w, b) * T.linear(x, w, b)).sum(),
+            [_rand(2, 3, 4), _rand(4, 2), _rand(2)],
+        )
+
+    def test_attention_key_padding(self):
+        # second row sees only its first two of four keys
+        mask = _key_padding(np.array([4, 2]), 4)
+        w = Tensor(_rand(2, 3, 2, 5))
+        check_grads(
+            lambda q, k, v: (T.attention(q, k, v, mask, 0.5) * w).sum(),
+            [_rand(2, 3, 2, 4), _rand(2, 4, 2, 4), _rand(2, 4, 2, 5)],
+        )
+
+    def test_attention_causal(self):
+        mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        w = Tensor(_rand(2, 4, 2, 3))
+        check_grads(
+            lambda q, k, v: (T.attention(q, k, v, mask, 0.5) * w).sum(),
+            [_rand(2, 4, 2, 3), _rand(2, 4, 2, 3), _rand(2, 4, 2, 3)],
+        )
+
+    def test_attention_padded_keys_get_exactly_zero_gradient(self):
+        q, k, v = (Tensor(_rand(*s), requires_grad=True)
+                   for s in ((2, 3, 2, 4), (2, 5, 2, 4), (2, 5, 2, 3)))
+        out = T.attention(q, k, v, _key_padding(np.array([5, 3]), 5), 0.5)
+        backward((out * Tensor(_rand(2, 3, 2, 3))).sum())
+        for t in (k, v):
+            assert (t.grad[1, 3:] == 0.0).all()
+            assert (t.grad[1, :3] != 0.0).all() and (t.grad[0] != 0.0).all()
+
+
+def _key_padding(lens, t_k):
+    """(B, 1, 1, Tk) mask, True at the keys past each row's length."""
+    return (np.arange(t_k)[None, :] >= lens[:, None])[:, None, None, :]

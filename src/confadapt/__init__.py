@@ -14,7 +14,6 @@ from .space import ArchSpace, DerivedArch, param_count, expected_param_count
 from .supernet import ConformerSupernet, DerivedModel, one_hot_weights
 from .search import (
     ArchLogits,
-    TempSchedule,
     alternating_step,
     expected_weights,
     extract,
@@ -44,7 +43,7 @@ __all__ = [
     "Tensor", "backward", "no_grad",
     "ArchSpace", "DerivedArch", "param_count", "expected_param_count",
     "ConformerSupernet", "DerivedModel", "one_hot_weights",
-    "ArchLogits", "TempSchedule", "alternating_step", "expected_weights", "extract",
+    "ArchLogits", "alternating_step", "expected_weights", "extract",
     "penalized_loss", "sample_weights",
     "TokenSeq", "attention_ce_loss", "ctc_loss", "greedy_decode", "hybrid_loss",
     "Corpus", "DomainSpec", "Utterance", "default_domain_pair", "generate", "median_split",

@@ -24,10 +24,11 @@ sections are ignored.
 
 Writes are atomic (temp file then rename). Loading a truncated or
 corrupt file, one without the ``meta``, ``space``, ``weights`` and
-``lineage`` sections, a supernet file without ``logits``, a model file
-without ``arch``, or one whose sections hold malformed contents (such
-as an ``arch`` that does not fit its ``space``, or a logits group that
-is missing or whose length differs from its number of choices) raises
+``lineage`` sections, one whose kind is neither ``supernet`` nor
+``model``, a supernet file without ``logits``, a model file without
+``arch``, or one whose sections hold malformed contents (such as an
+``arch`` that does not fit its ``space``, or a logits group that is
+missing or whose length differs from its number of choices) raises
 ``IncompatibleCheckpointError`` naming the path.
 """
 
@@ -128,9 +129,10 @@ def _from_sections(sections):
     space_js, _ = sections["space"]
     _, weights = sections["weights"]
     ck = Checkpoint(kind=meta["kind"], space=ArchSpace.from_json(space_js), weights=weights)
-    section = KIND_SECTIONS.get(ck.kind)
-    if section is not None and section not in sections:
-        raise ValueError(f"{ck.kind} checkpoint has no {section!r} section")
+    if ck.kind not in KIND_SECTIONS:
+        raise ValueError(f"unknown checkpoint kind {ck.kind!r}")
+    if KIND_SECTIONS[ck.kind] not in sections:
+        raise ValueError(f"{ck.kind} checkpoint has no {KIND_SECTIONS[ck.kind]!r} section")
     if "arch" in sections:
         ck.arch = DerivedArch.from_json(sections["arch"][0])
         ck.arch.validate(ck.space)

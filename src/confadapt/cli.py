@@ -16,10 +16,14 @@ Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 stderr. An invalid configuration exits 2 before any stage runs: a
 value of the wrong type, a ``--set`` path that names no field, a
 non-integer or negative seed, a split count below 1, a bad stage
-setting or one the stage's kind never reads, a system or sweep corpus
-other than source/target, a system or sweep split the corpus lacks, a
-space whose ``feat_dim`` or ``vocab_size`` does not fit the corpora, a
-negative sweep penalty factor, or a recipe that
+setting (including one of the wrong JSON type: a name, kind, corpus or
+init that is not a string, an input or output that is neither a string
+nor null, a ``reinit_output`` that is not true or false, or a rate,
+penalty factor or temperature that is a bool or not a number) or one
+the stage's kind never reads, a system or sweep corpus other than
+source/target, a system or sweep split the corpus lacks, a space whose
+``feat_dim`` or ``vocab_size`` does not fit the corpora, a sweep
+penalty factor that is negative or not a JSON number, or a recipe that
 ``pipeline.check_recipe`` refuses (a stage corpus that is unknown or
 lacks a split the stage reads, ``patience`` without a dev split, or an
 input that is not an earlier output or a checkpoint file of the kind
@@ -82,17 +86,13 @@ def _check_corpus(name, field):
     return name
 
 
-def _read(path, convert, value):
-    """``convert(value)``, with a value of the wrong type or range reported
-    as a ConfigError naming ``path``."""
+def _build(cls, d, path):
+    """``cls(**d)``, with a value of the wrong type or range reported as a
+    ConfigError naming ``path``."""
     try:
-        return convert(value)
+        return cls(**d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}", field=path) from exc
-
-
-def _build(cls, d, path):
-    return _read(path, lambda kwargs: cls(**kwargs), d)
 
 
 def _integer(path, value, least):
@@ -105,7 +105,8 @@ def _integer(path, value, least):
 def _stage(d, path):
     """The StageConfig of ``d``, refusing a setting its kind never reads."""
     kind = _typed(d, dict, path).get("kind")
-    if kind in StageConfig.KINDS:  # an unknown kind is StageConfig's to refuse
+    # an unknown kind, or one that is not a string, is StageConfig's to refuse
+    if isinstance(kind, str) and kind in StageConfig.KINDS:
         unread = sorted(set(d) - set(StageConfig.keys(kind)))
         if unread:
             raise ConfigError(f"{path}.{unread[0]}: a {kind} stage never reads {unread[0]!r}",
@@ -164,16 +165,18 @@ class RunConfig:
         if "sweep" in raw:
             _check_keys(raw["sweep"], ("eta", "eval_corpus", "eval_split"),
                         "config.sweep", required=("eta",))
+            eta = _typed(raw["sweep"]["eta"], list, "config.sweep.eta")
+            bad = [e for e in eta if isinstance(e, bool) or not isinstance(e, (int, float))
+                   or not e >= 0]
+            if bad:
+                raise ConfigError(f"config.sweep.eta: penalty factors must be nonnegative "
+                                  f"numbers, got {bad}", field="config.sweep.eta")
             self.sweep = {
-                "eta": _read("config.sweep.eta", lambda v: [float(e) for e in v],
-                             raw["sweep"]["eta"]),
+                "eta": [float(e) for e in eta],
                 "eval_corpus": _check_corpus(raw["sweep"].get("eval_corpus", "target"),
                                              "config.sweep.eval_corpus"),
                 "eval_split": raw["sweep"].get("eval_split", "test"),
             }
-            if not all(e >= 0 for e in self.sweep["eta"]):
-                raise ConfigError(f"config.sweep.eta: penalty factors must be nonnegative, "
-                                  f"got {self.sweep['eta']}", field="config.sweep.eta")
 
 
 def _apply_override(raw, spec_str):

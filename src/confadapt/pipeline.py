@@ -53,7 +53,7 @@ from .checkpoint import Checkpoint, IncompatibleCheckpointError
 from .data import iter_batches
 from .losses import greedy_decode, edit_distance
 from .optim import Adam
-from .search import ArchLogits, TempSchedule, alternating_step, extract
+from .search import ArchLogits, alternating_step, extract
 from .space import _key_str
 from .supernet import ConformerSupernet, DerivedModel
 from .tensor import backward
@@ -128,6 +128,17 @@ class StageConfig:
         def refuse(key, message):
             raise RecipeError(f"stage {self.name!r}: {message}", key)
 
+        for field in ("name", "kind", "corpus", "init", "input", "output"):
+            v = getattr(self, field)
+            if not isinstance(v, str) and not (v is None and field in ("input", "output")):
+                refuse(field, f"{field} must be a string, got {v!r}")
+        if not isinstance(self.reinit_output, bool):
+            refuse("reinit_output", f"reinit_output must be true or false, "
+                                    f"got {self.reinit_output!r}")
+        for field in ("lr_weights", "lr_logits", "eta", "t_start", "t_end"):
+            v = getattr(self, field)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                refuse(field, f"{field} must be a number, got {v!r}")
         if self.kind not in self.KINDS:
             refuse("kind", f"unknown kind {self.kind!r}")
         for field, least in (("epochs", 0), ("batch_size", 1), ("patience", 0), ("seed", 0)):
@@ -145,6 +156,13 @@ class StageConfig:
             refuse("eta", f"eta must be nonnegative, got {self.eta}")
         if not self.t_start >= self.t_end > 0:
             refuse("t_end", f"need t_start >= t_end > 0, got {self.t_start} and {self.t_end}")
+
+    def temperature(self, epoch):
+        """Gumbel-Softmax temperature of ``epoch``: exponential decay from
+        ``t_start`` at the first epoch to ``t_end`` at the last."""
+        if self.epochs <= 1:
+            return self.t_end
+        return float(self.t_start * (self.t_end / self.t_start) ** (epoch / (self.epochs - 1)))
 
     @classmethod
     def keys(cls, kind):
@@ -277,7 +295,6 @@ def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
     annealed per epoch. Every epoch is kept."""
     opt_w = Adam(task.named_parameters(), cfg.lr_weights)
     opt_l = Adam(logits.named_parameters(), cfg.lr_logits)
-    sched = TempSchedule(cfg.t_start, cfg.t_end)
 
     def snapshot():
         return Checkpoint(kind="supernet", space=task.space, lineage=lineage,
@@ -286,7 +303,7 @@ def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
                           logits_meta={"temperature": logits.temperature})
 
     def begin(epoch, rng):
-        logits.temperature = sched.value(epoch, cfg.epochs)
+        logits.temperature = cfg.temperature(epoch)
         # drawn before the loop shuffles the train split with the same rng
         held = itertools.cycle(list(iter_batches(corpus.split("heldout"), cfg.batch_size, rng)))
         return lambda tb: alternating_step(tb, next(held), task, logits, opt_w, opt_l, rng=rng)

@@ -17,7 +17,6 @@ from .checkpoint import Checkpoint
 from .data import median_split
 from .pipeline import (StageConfig, check_recipe, error_rate, model_from_checkpoint,
                        run_recipe, utterance_errors)
-from .space import DEC_GROUPS_SHARED, DEC_GROUPS_SPLIT, ENC_GROUPS
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -96,17 +95,14 @@ def render_report(report):
 def arch_table(arch, space):
     """Per-block hyper-parameter table; row 0 is the bottom block, the
     one closest to the input, the last row the top block."""
-    d = arch.to_json()
     lines = []
-    lines.append("section  block  " + "".join(f"{g.upper():>6}" for g in ENC_GROUPS))
-    for b in range(space.encoder_blocks):
-        row = "".join(f"{d[f'enc.{b}.{g}']:6d}" for g in ENC_GROUPS)
-        lines.append(f"enc      {b:5d}  {row}")
-    dec_groups = DEC_GROUPS_SPLIT if space.split_decoder_attention else DEC_GROUPS_SHARED
-    lines.append("section  block  " + "".join(f"{g.upper():>11}" for g in dec_groups))
-    for b in range(space.decoder_blocks):
-        row = "".join(f"{d[f'dec.{b}.{g}']:11d}" for g in dec_groups)
-        lines.append(f"dec      {b:5d}  {row}")
+    for section, blocks, width in (("enc", space.encoder_blocks, 6),
+                                   ("dec", space.decoder_blocks, 11)):
+        names = space.block_groups(section)
+        lines.append("section  block  " + "".join(f"{g.upper():>{width}}" for g in names))
+        for b in range(blocks):
+            row = "".join(f"{int(arch[(section, b, g)]):{width}d}" for g in names)
+            lines.append(f"{section:9}{b:5d}  {row}")
     return "\n".join(lines) + "\n"
 
 

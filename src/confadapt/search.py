@@ -1,6 +1,7 @@
-"""Architecture-weight machinery: Gumbel-Softmax sampling, temperature
-annealing, the size-penalized search loss, alternating optimization of
-shared weights and selection logits, and 1-best extraction.
+"""Architecture-weight machinery: Gumbel-Softmax sampling, the
+size-penalized search loss, alternating optimization of shared weights
+and selection logits, and 1-best extraction. The per-epoch temperature
+schedule is ``pipeline.StageConfig.temperature``.
 
 Selection weights for candidate i of a group are
 
@@ -17,32 +18,12 @@ under the softmax, so penalizing them directly would be degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .optim import zero_all
 from .space import expected_param_count, DerivedArch, _key_str
 from .tensor import Tensor, backward
-
-
-@dataclass(frozen=True)
-class TempSchedule:
-    """Exponential decay per epoch from t_start to t_end."""
-
-    t_start: float = 1.0
-    t_end: float = 0.1
-
-    def __post_init__(self):
-        if not self.t_start >= self.t_end > 0:
-            raise ValueError(f"TempSchedule: need t_start >= t_end > 0, got {self}")
-
-    def value(self, epoch, total_epochs):
-        if total_epochs <= 1:
-            return self.t_end
-        frac = epoch / (total_epochs - 1)
-        return float(self.t_start * (self.t_end / self.t_start) ** frac)
 
 
 class ArchLogits:

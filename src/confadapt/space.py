@@ -3,8 +3,8 @@ the closed-form parameter count used both for exact model sizes and for
 the differentiable expected size under mixing weights.
 
 A group key is a tuple ``(section, block, group)`` such as
-``("enc", 0, "fd")``. Encoder blocks carry groups fd/ah/adim/ck, decoder
-blocks fd/ah/adim (or split self/cross attention groups when enabled).
+``("enc", 0, "fd")``. Only ``ArchSpace`` knows a block's groups: encoder
+blocks fd/ah/adim/ck, decoder blocks fd/ah/adim or split self/cross ones.
 """
 
 from __future__ import annotations
@@ -16,9 +16,16 @@ import numpy as np
 from .tensor import Tensor
 
 
-ENC_GROUPS = ("fd", "ah", "adim", "ck")
-DEC_GROUPS_SHARED = ("fd", "ah", "adim")
-DEC_GROUPS_SPLIT = ("fd", "ah_self", "adim_self", "ah_cross", "adim_cross")
+_ENC_GROUPS = ("fd", "ah", "adim", "ck")
+_DEC_GROUPS_SHARED = ("fd", "ah", "adim")
+# attention_keys reads each block's attention groups in this order, self before cross
+_DEC_GROUPS_SPLIT = ("fd", "ah_self", "adim_self", "ah_cross", "adim_cross")
+# the ArchSpace field that lists each group's choices
+_GROUP_CHOICES = {
+    "fd": "ff_choices", "ck": "kernel_choices",
+    "ah": "head_choices", "ah_self": "head_choices", "ah_cross": "head_choices",
+    "adim": "head_dim_choices", "adim_self": "head_dim_choices", "adim_cross": "head_dim_choices",
+}
 
 
 def _check_choices(name, choices, odd=False):
@@ -62,29 +69,28 @@ class ArchSpace:
     # group layout --------------------------------------------------
 
     def group_choices(self, key):
-        _, _, group = key
-        if group == "fd":
-            return self.ff_choices
-        if group in ("ah", "ah_self", "ah_cross"):
-            return self.head_choices
-        if group in ("adim", "adim_self", "adim_cross"):
-            return self.head_dim_choices
-        if group == "ck":
-            return self.kernel_choices
-        raise KeyError(f"unknown group {key}")
+        return getattr(self, _GROUP_CHOICES[key[2]])
+
+    def block_groups(self, section):
+        """Group names of an encoder (``"enc"``) or decoder (``"dec"``) block."""
+        if section == "enc":
+            return _ENC_GROUPS
+        return _DEC_GROUPS_SPLIT if self.split_decoder_attention else _DEC_GROUPS_SHARED
+
+    def attention_keys(self, b):
+        """The (heads, head dim) keys that decoder block ``b``'s self- and
+        cross-attention read; without split attention both are one pair."""
+        keys = [("dec", b, g) for g in self.block_groups("dec") if g != "fd"]
+        return tuple(keys[:2]), tuple(keys[-2:])
 
     def groups(self):
         """Ordered list of (key, choices) pairs for every searchable group."""
         out = []
-        for b in range(self.encoder_blocks):
-            for g in ENC_GROUPS:
-                key = ("enc", b, g)
-                out.append((key, self.group_choices(key)))
-        dec_groups = DEC_GROUPS_SPLIT if self.split_decoder_attention else DEC_GROUPS_SHARED
-        for b in range(self.decoder_blocks):
-            for g in dec_groups:
-                key = ("dec", b, g)
-                out.append((key, self.group_choices(key)))
+        for section, blocks in (("enc", self.encoder_blocks), ("dec", self.decoder_blocks)):
+            names = self.block_groups(section)
+            for b in range(blocks):
+                for g in names:
+                    out.append(((section, b, g), getattr(self, _GROUP_CHOICES[g])))
         return out
 
     def to_json(self):
@@ -184,12 +190,10 @@ def _cost(space, val):
 
     for b in range(space.decoder_blocks):
         fd = val(("dec", b, "fd"))
-        if space.split_decoder_attention:
-            ha_self = val(("dec", b, "ah_self")) * val(("dec", b, "adim_self"))
-            ha_cross = val(("dec", b, "ah_cross")) * val(("dec", b, "adim_cross"))
-        else:
-            ha_self = val(("dec", b, "ah")) * val(("dec", b, "adim"))
-            ha_cross = ha_self
+        (hs, ds), (hc, dc) = space.attention_keys(b)
+        ha_self = val(hs) * val(ds)
+        # shared attention groups reuse one product (one term on the tape)
+        ha_cross = ha_self if (hc, dc) == (hs, ds) else val(hc) * val(dc)
         total = total + ha_self * (4 * d + 3) + d
         total = total + ha_cross * (4 * d + 3) + d
         total = total + fd * (2 * d + 1) + d

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import IncompatibleCheckpointError
 from .losses import hybrid_batch_loss
-from .space import ENC_GROUPS, DerivedArch
+from .space import DerivedArch
 from .tensor import ShapeError, Tensor
 
 
@@ -286,7 +286,7 @@ class EncoderBlock:
     def __init__(self, build, space, b, arch):
         d = space.model_dim
         p = f"enc.{b}"
-        self.keys = {g: ("enc", b, g) for g in ENC_GROUPS}
+        self.keys = {g: ("enc", b, g) for g in space.block_groups("enc")}
         self.ln_ff1 = _LN(build, p + ".ln_ff1", d)
         self.ff1 = SearchableFF(build, p + ".ff1", d, space.ff_choices, arch[self.keys["fd"]])
         self.ln_attn = _LN(build, p + ".ln_attn", d)
@@ -326,12 +326,7 @@ class DecoderBlock:
     def __init__(self, build, space, b, arch):
         d = space.model_dim
         p = f"dec.{b}"
-        if space.split_decoder_attention:
-            self.key_self = (("dec", b, "ah_self"), ("dec", b, "adim_self"))
-            self.key_cross = (("dec", b, "ah_cross"), ("dec", b, "adim_cross"))
-        else:
-            self.key_self = (("dec", b, "ah"), ("dec", b, "adim"))
-            self.key_cross = self.key_self
+        self.key_self, self.key_cross = space.attention_keys(b)
         self.key_fd = ("dec", b, "fd")
         self.ln_self = _LN(build, p + ".ln_self", d)
         self.self_attn = SearchableAttention(

@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from confadapt.checkpoint import Checkpoint
 from confadapt.cli import main
 from confadapt.pipeline import StageConfig, run_recipe
-from confadapt.report import sweep as run_sweep
+from confadapt.report import arch_table, sweep as run_sweep
 from confadapt.data import Corpus, default_domain_pair
+from confadapt.space import ArchSpace, DerivedArch
 
 
 def base_config(tmp_path):
@@ -145,6 +147,30 @@ class TestDumpArch:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("enc ")]
         assert [int(l.split()[1]) for l in lines] == [0]
 
+    def test_split_space_table(self):
+        # split decoder attention: one column per self/cross group, each
+        # row holding that block's choices
+        space = ArchSpace(model_dim=16, feat_dim=6, vocab_size=9, encoder_blocks=2,
+                          decoder_blocks=2, ff_choices=(8, 16), head_choices=(1, 2),
+                          head_dim_choices=(4, 8), kernel_choices=(3, 5),
+                          split_decoder_attention=True)
+        arch = DerivedArch.sample_uniform(space, np.random.default_rng(3))
+        lines = arch_table(arch, space).splitlines()
+        assert lines[0].split() == ["section", "block", "FD", "AH", "ADIM", "CK"]
+        assert lines[3].split() == ["section", "block", "FD", "AH_SELF", "ADIM_SELF",
+                                    "AH_CROSS", "ADIM_CROSS"]
+        for line, section, b in ((lines[1], "enc", 0), (lines[2], "enc", 1),
+                                 (lines[4], "dec", 0), (lines[5], "dec", 1)):
+            groups = ("fd", "ah", "adim", "ck") if section == "enc" else (
+                "fd", "ah_self", "adim_self", "ah_cross", "adim_cross")
+            assert line.split() == [section, str(b)] + [str(arch[(section, b, g)])
+                                                       for g in groups]
+        assert len(lines) == 6
+        # the sampled arch tells self from cross attention in some block
+        assert any(arch[("dec", b, "ah_self")] != arch[("dec", b, "ah_cross")]
+                   or arch[("dec", b, "adim_self")] != arch[("dec", b, "adim_cross")]
+                   for b in range(2))
+
 
 class TestConfigValidation:
     def test_shipped_demo_config_validates(self):
@@ -190,7 +216,14 @@ class TestConfigValidation:
                        (1, {"lr_logits": 0.0}),
                        (0, {"patience": 1}), (4, {"init": "fresh"}), (2, {"lr_logits": 1e-3}),
                        (3, {"eta": 0.0}), (2, {"reinit_output": True}), (0, {"input": "sn_src"}),
-                       (0, {"seed": True}), (5, {"seed": 2.0})):
+                       (0, {"seed": True}), (5, {"seed": 2.0}),
+                       # a setting of the wrong JSON type
+                       (3, {"input": 5}), (1, {"input": ["sn_src"]}), (0, {"name": ["p"]}),
+                       (0, {"output": ["sn_src"]}), (2, {"corpus": ["source"]}),
+                       (0, {"kind": ["pretrain"]}),
+                       (4, {"reinit_output": "no"}), (5, {"reinit_output": 1}),
+                       (0, {"eta": True}), (1, {"lr_weights": True}), (0, {"lr_logits": True}),
+                       (0, {"t_start": True}), (1, {"t_end": "0.1"}), (0, {"eta": "0"})):
             cfg = base_config(tmp_path)
             cfg["stages"][i].update(bad)
             assert main(["run", "-c", write_config(tmp_path, cfg)]) == 2, bad
@@ -253,6 +286,8 @@ class TestConfigValidation:
         ("run", {"data.source.counts.train": 1.5}, [], "config.data.source.counts.train"),
         ("run", {"data.target.counts.dev": True}, [], "config.data.target.counts.dev"),
         ("run", {"data.target.counts.test": 0}, [], "config.data.target.counts.test"),
+        ("sweep", {"sweep": {"eta": ["0.5"]}}, [], "config.sweep.eta"),
+        ("sweep", {"sweep": {"eta": [0.0, True]}}, [], "config.sweep.eta"),
     ])
     def test_invalid_config_exits_2_before_any_stage(self, workspace, no_dev_data, tmp_path,
                                                      capsys, command, edit, overrides, field):

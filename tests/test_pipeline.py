@@ -101,6 +101,7 @@ class TestCheckpointRoundTrip:
         # well-formed sections with malformed contents; each edit keeps the
         # byte length, so only the JSON meaning changes
         for old, new in ((b'"kind"', b'"kinX"'),               # meta without a kind
+                         (b'"model"', b'"modeX"'),             # a kind with no loader
                          (b'"model_dim"', b'"model_diX"'),     # unknown space field
                          (b'[8, 16]', b'[16, 8]'),             # ff_choices out of order
                          (b'"enc.0.ck": 3', b'"enc.0.ck": 4'), # kernel not in the space

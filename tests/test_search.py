@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from confadapt.optim import Adam, zero_all
+from confadapt.pipeline import StageConfig
 from confadapt.search import (
     ArchLogits,
-    TempSchedule,
     alternating_step,
     expected_weights,
     extract,
@@ -225,18 +225,16 @@ class TestExtract:
 
 class TestTempSchedule:
     def test_endpoints(self):
-        s = TempSchedule(1.0, 0.1)
-        assert s.value(0, 10) == pytest.approx(1.0)
-        assert s.value(9, 10) == pytest.approx(0.1)
+        cfg = StageConfig("p", "pretrain", epochs=10, t_start=1.0, t_end=0.1)
+        assert cfg.temperature(0) == pytest.approx(1.0)
+        assert cfg.temperature(9) == pytest.approx(0.1)
+        # a one-epoch stage searches at the final temperature
+        assert StageConfig("p", "pretrain", epochs=1, t_start=1.0, t_end=0.1).temperature(0) == 0.1
 
     def test_monotone(self):
-        s = TempSchedule(1.0, 0.1)
-        vals = [s.value(e, 6) for e in range(6)]
+        cfg = StageConfig("p", "pretrain", epochs=6, t_start=1.0, t_end=0.1)
+        vals = [cfg.temperature(e) for e in range(6)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            TempSchedule(0.1, 1.0)
 
 
 class TwoBranchTask:

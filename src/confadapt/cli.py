@@ -7,28 +7,22 @@ Subcommands: ``gen-data`` (write the synthetic corpora), ``run``
 per penalty factor, shared pre-training).
 
 Configuration is one declarative JSON file with explicit schema
-versioning; unknown keys are rejected with field-level diagnostics.
-``--set path=value`` overrides scalar fields only (dotted path, list
-indices allowed, e.g. ``--set stages.0.epochs=3``).
+versioning, read by one rule: ``RunConfig`` and the dataclasses its
+fields name are the schema, each field's annotation is the JSON type it
+takes (a bool is not a number), and each class's constructor checks
+ranges. ``--set path=value`` overrides scalar fields only (dotted path,
+list indices allowed, e.g. ``--set stages.0.epochs=3``).
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 1 other failures. Errors also emit one machine-parsable JSON record on
-stderr. An invalid configuration exits 2 before any stage runs: a
-value of the wrong type, a ``--set`` path that names no field, a
-non-integer or negative seed, a split count below 1, a bad stage
-setting (including one of the wrong JSON type: a name, kind, corpus or
-init that is not a string, an input or output that is neither a string
-nor null, a ``reinit_output`` that is not true or false, or a rate,
-penalty factor or temperature that is a bool or not a number) or one
-the stage's kind never reads, a system or sweep corpus other than
-source/target, a system or sweep split the corpus lacks, a space whose
-``feat_dim`` or ``vocab_size`` does not fit the corpora, a sweep
-penalty factor that is negative or not a JSON number, or a recipe that
-``pipeline.check_recipe`` refuses (a stage corpus that is unknown or
-lacks a split the stage reads, ``patience`` without a dev split, or an
-input that is not an earlier output or a checkpoint file of the kind
-and space the stage reads). A stage error names its field as
-``config.stages.<index>.<key>``.
+stderr. An invalid configuration exits 2 before any stage runs: an
+unknown, missing or unread key, a value of the wrong type or range, a
+``--set`` path that names no field, a space or split that the corpora
+do not have, or a recipe that ``pipeline.check_recipe`` refuses. The
+record's ``field`` names the value: ``config.space.model_dim``, a field
+in a list of objects ``config.stages.<index>.<key>``, an element of a
+list of scalars the list (``config.sweep.eta``), a map value
+``config.data.source.counts.train``.
 """
 
 from __future__ import annotations
@@ -37,7 +31,10 @@ import argparse
 import json
 import sys
 
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .checkpoint import Checkpoint
 from .data import Corpus, DomainSpec, generate
@@ -58,130 +55,150 @@ CORPORA = ("source", "target")
 
 
 class ConfigError(ValueError):
-    def __init__(self, message, field=None):
-        super().__init__(message)
+    """An invalid config; ``field`` names the offending value."""
+
+    def __init__(self, field, message):
+        super().__init__(f"{field}: {message}")
         self.field = field
 
 
-def _typed(value, kind, path):
-    """``value``, if it is a ``kind`` (a JSON object is a dict, an array a list)."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}: expected a {kind.__name__}, got {type(value).__name__}",
-                          field=path)
-    return value
-
-
-def _check_keys(d, allowed, path, required=()):
-    unknown = sorted(set(_typed(d, dict, path)) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field {path}.{unknown[0]}", field=f"{path}.{unknown[0]}")
-    for r in required:
-        if r not in d:
-            raise ConfigError(f"missing required field {path}.{r}", field=f"{path}.{r}")
-
-
-def _check_corpus(name, field):
+def _check_corpus(name, key):
     if name not in CORPORA:
-        raise ConfigError(f"{field}: corpus must be one of {CORPORA}, got {name!r}", field=field)
-    return name
+        raise RecipeError(f"corpus must be one of {CORPORA}, got {name!r}", key)
 
 
-def _build(cls, d, path):
-    """``cls(**d)``, with a value of the wrong type or range reported as a
-    ConfigError naming ``path``."""
-    try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from exc
+@dataclass
+class CorpusConfig:
+    """A corpus to generate: its spec and the utterance count of each split."""
+
+    spec: DomainSpec
+    counts: dict[str, int]
+
+    def __post_init__(self):
+        for split, n in self.counts.items():
+            if n < 1:
+                raise RecipeError(f"expected an integer >= 1, got {n}", f"counts.{split}")
 
 
-def _integer(path, value, least):
-    """``value``, if it is a JSON integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{path}: expected an integer >= {least}, got {value!r}", field=path)
-    return value
+@dataclass
+class DataConfig:
+    dir: Path
+    source: CorpusConfig | None = None
+    target: CorpusConfig | None = None
 
 
-def _stage(d, path):
-    """The StageConfig of ``d``, refusing a setting its kind never reads."""
-    kind = _typed(d, dict, path).get("kind")
-    # an unknown kind, or one that is not a string, is StageConfig's to refuse
-    if isinstance(kind, str) and kind in StageConfig.KINDS:
-        unread = sorted(set(d) - set(StageConfig.keys(kind)))
-        if unread:
-            raise ConfigError(f"{path}.{unread[0]}: a {kind} stage never reads {unread[0]!r}",
-                              field=f"{path}.{unread[0]}")
-    try:
-        return StageConfig(**d)
-    except RecipeError as exc:
-        raise ConfigError(f"{path}.{exc.key}: {exc}", field=f"{path}.{exc.key}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}", field=path) from exc
+@dataclass
+class SystemConfig:
+    """A checkpoint to evaluate, by stage output name or file path."""
+
+    name: str
+    checkpoint: str
+    corpus: str = "target"
+    split: str = "test"
+
+    def __post_init__(self):
+        _check_corpus(self.corpus, "corpus")
 
 
+@dataclass
+class SweepConfig:
+    eta: list[float]
+    eval_corpus: str = "target"
+    eval_split: str = "test"
+
+    def __post_init__(self):
+        bad = [e for e in self.eta if not e >= 0]
+        if bad:
+            raise RecipeError(f"penalty factors must be nonnegative, got {bad}", "eta")
+        _check_corpus(self.eval_corpus, "eval_corpus")
+        # floats, so an arm's lineage records 0 as 0.0 whichever way the file wrote it
+        self.eta = [float(e) for e in self.eta]
+
+
+@dataclass
 class RunConfig:
-    TOP_KEYS = ("schema_version", "seed", "out_dir", "data", "space", "stages",
-                "systems", "sweep")
+    """The config file. Each field's annotation is the JSON type it takes."""
 
-    def __init__(self, raw):
-        _check_keys(raw, self.TOP_KEYS, "config", required=("schema_version", "out_dir"))
-        if raw["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(
-                f"config.schema_version: expected {SCHEMA_VERSION}, got {raw['schema_version']}",
-                field="config.schema_version",
-            )
-        self.seed = _integer("config.seed", raw.get("seed", 0), 0)
-        self.out_dir = Path(raw["out_dir"])
-        self.data = None
-        if "data" in raw:
-            d = raw["data"]
-            _check_keys(d, ("dir",) + CORPORA, "config.data", required=("dir",))
-            self.data = {"dir": Path(d["dir"])}
-            for dom in CORPORA:
-                if dom in d:
-                    _check_keys(d[dom], ("spec", "counts"), f"config.data.{dom}",
-                                required=("spec", "counts"))
-                    spec = _build(DomainSpec, d[dom]["spec"], f"config.data.{dom}.spec")
-                    counts = _typed(d[dom]["counts"], dict, f"config.data.{dom}.counts")
-                    counts = {k: _integer(f"config.data.{dom}.counts.{k}", v, 1)
-                              for k, v in counts.items()}
-                    self.data[dom] = (spec, counts)
-        self.space = None
-        if "space" in raw:
-            self.space = _build(ArchSpace, raw["space"], "config.space")
-        self.stages = []
-        for i, st in enumerate(_typed(raw.get("stages", []), list, "config.stages")):
-            self.stages.append(_stage(st, f"config.stages.{i}"))
-        self.systems = []
-        for i, s in enumerate(_typed(raw.get("systems", []), list, "config.systems")):
-            _check_keys(s, ("name", "checkpoint", "corpus", "split"),
-                        f"config.systems.{i}", required=("name", "checkpoint"))
-            self.systems.append({
-                "name": s["name"], "checkpoint": s["checkpoint"],
-                "corpus": _check_corpus(s.get("corpus", "target"), f"config.systems.{i}.corpus"),
-                "split": s.get("split", "test"),
-            })
-        self.sweep = None
-        if "sweep" in raw:
-            _check_keys(raw["sweep"], ("eta", "eval_corpus", "eval_split"),
-                        "config.sweep", required=("eta",))
-            eta = _typed(raw["sweep"]["eta"], list, "config.sweep.eta")
-            bad = [e for e in eta if isinstance(e, bool) or not isinstance(e, (int, float))
-                   or not e >= 0]
-            if bad:
-                raise ConfigError(f"config.sweep.eta: penalty factors must be nonnegative "
-                                  f"numbers, got {bad}", field="config.sweep.eta")
-            self.sweep = {
-                "eta": [float(e) for e in eta],
-                "eval_corpus": _check_corpus(raw["sweep"].get("eval_corpus", "target"),
-                                             "config.sweep.eval_corpus"),
-                "eval_split": raw["sweep"].get("eval_split", "test"),
-            }
+    schema_version: int
+    out_dir: Path
+    seed: int = 0
+    data: DataConfig | None = None
+    space: ArchSpace | None = None
+    stages: tuple[StageConfig, ...] = ()
+    systems: tuple[SystemConfig, ...] = ()
+    sweep: SweepConfig | None = None
+
+    def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise RecipeError(f"expected {SCHEMA_VERSION}, got {self.schema_version}",
+                              "schema_version")
+        if self.seed < 0:
+            raise RecipeError(f"expected an integer >= 0, got {self.seed}", "seed")
+
+
+# the JSON values each scalar annotation takes; a bool is not a number
+_SCALARS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    Path: lambda v: isinstance(v, str),
+    NoneType: lambda v: v is None,
+}
+
+
+def _read(value, hint, path):
+    """The JSON ``value`` read as a ``hint``; a ConfigError names ``path``
+    if it is not one. An element of a list of objects is named by its
+    index, an element of a list of scalars by the list."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # try the first arm last, so that its refusal is the one shown
+        for arm in args[:0:-1]:
+            try:
+                return _read(value, arm, path)
+            except ConfigError:
+                pass
+        return _read(value, args[0], path)
+    if is_dataclass(hint):
+        # a stage may set only what its kind reads; StageConfig refuses an unknown kind
+        kind = value.get("kind") if hint is StageConfig and isinstance(value, dict) else None
+        keys = StageConfig.keys(kind) if isinstance(kind, str) else ()
+        return _object(hint, value, path, keys or get_type_hints(hint))
+    if origin in (list, tuple) and isinstance(value, list):
+        return origin(_read(v, args[0], f"{path}.{i}" if is_dataclass(args[0]) else path)
+                      for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: _read(v, args[1], f"{path}.{k}") for k, v in value.items()}
+    if hint in _SCALARS and _SCALARS[hint](value):
+        return Path(value) if hint is Path else value
+    name = hint.__name__ if isinstance(hint, type) else hint
+    raise ConfigError(path, f"expected {name}, got {value!r}")
+
+
+def _object(cls, d, path, keys):
+    """``cls`` built from the JSON object ``d``, which may set only
+    ``keys``. A refusal by ``cls`` that carries a ``key`` names
+    ``path.key``; any other names ``path``."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"expected an object, got {d!r}")
+    for k in d:
+        if k not in keys:
+            raise ConfigError(f"{path}.{k}", f"{path} reads only {', '.join(keys)}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING:
+            raise ConfigError(f"{path}.{f.name}", "missing required field")
+    hints = get_type_hints(cls)
+    values = {k: _read(v, hints[k], f"{path}.{k}") for k, v in d.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        at = f"{path}.{exc.key}" if getattr(exc, "key", None) else path
+        raise ConfigError(at, str(exc)) from exc
 
 
 def _apply_override(raw, spec_str):
     if "=" not in spec_str:
-        raise ConfigError(f"--set needs path=value, got {spec_str!r}", field=spec_str)
+        raise ConfigError(spec_str, "--set needs path=value")
     path, value = spec_str.split("=", 1)
     *parents, leaf = path.split(".")
     node = raw
@@ -192,9 +209,9 @@ def _apply_override(raw, spec_str):
             leaf = int(leaf)
         current = node[leaf]
     except (KeyError, IndexError, TypeError, ValueError):
-        raise ConfigError(f"--set: no such field {path!r}", field=path) from None
+        raise ConfigError(path, "--set names no such field") from None
     if isinstance(current, (dict, list)):
-        raise ConfigError(f"--set: {path!r} is not a scalar field", field=path)
+        raise ConfigError(path, "--set: not a scalar field")
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
@@ -205,45 +222,43 @@ def _apply_override(raw, spec_str):
 def load_config(path, overrides=()):
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}", field="config")
+        raise ConfigError("config", f"file not found: {p}")
     try:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}", field="config") from exc
+        raise ConfigError("config", f"not valid JSON: {exc}") from exc
     for o in overrides:
         _apply_override(raw, o)
-    return RunConfig(raw)
+    return _read(raw, RunConfig, "config")
 
 
 def _load_corpora(cfg):
     if cfg.data is None:
-        raise ConfigError("config.data is required for this command", field="config.data")
+        raise ConfigError("config.data", "required for this command")
     out = {}
     for dom in CORPORA:
-        path = cfg.data["dir"] / dom
+        path = cfg.data.dir / dom
         if not (path / "meta.json").exists():
-            raise ConfigError(
-                f"corpus directory {path} not found (run gen-data first)",
-                field=f"config.data.{dom}",
-            )
+            raise ConfigError(f"config.data.{dom}",
+                              f"corpus directory {path} not found (run gen-data first)")
         out[dom] = Corpus.load(path)
     return out
 
 
 def _check_split(corpus, split, field):
     if not corpus.split(split):
-        raise ConfigError(f"{field}: corpus {corpus.domain!r} has no {split!r} split", field=field)
+        raise ConfigError(field, f"corpus {corpus.domain!r} has no {split!r} split")
 
 
 def _check_space(space, corpora):
     """The configured space reads every corpus's features and token ids."""
     for c in corpora.values():
         if space.feat_dim != c.feat_dim:
-            raise ConfigError(f"config.space.feat_dim: {space.feat_dim} != the {c.domain!r} "
-                              f"corpus's {c.feat_dim} channels", field="config.space.feat_dim")
+            raise ConfigError("config.space.feat_dim", f"{space.feat_dim} != the "
+                              f"{c.domain!r} corpus's {c.feat_dim} channels")
         if space.vocab_size < c.vocab_size:
-            raise ConfigError(f"config.space.vocab_size: {space.vocab_size} < the {c.domain!r} "
-                              f"corpus's {c.vocab_size} token ids", field="config.space.vocab_size")
+            raise ConfigError("config.space.vocab_size", f"{space.vocab_size} < the "
+                              f"{c.domain!r} corpus's {c.vocab_size} token ids")
 
 
 def _emit(report, out_dir, stem):
@@ -259,13 +274,12 @@ def _emit(report, out_dir, stem):
 
 
 def cmd_gen_data(cfg, _args):
-    if cfg.data is None or "source" not in cfg.data or "target" not in cfg.data:
-        raise ConfigError("gen-data needs config.data.source and config.data.target",
-                          field="config.data")
+    if cfg.data is None or cfg.data.source is None or cfg.data.target is None:
+        raise ConfigError("config.data", "gen-data needs config.data.source and .target")
     for dom in CORPORA:
-        spec, counts = cfg.data[dom]
-        corpus = generate(spec, counts)
-        out = cfg.data["dir"] / dom
+        c = getattr(cfg.data, dom)
+        corpus = generate(c.spec, c.counts)
+        out = cfg.data.dir / dom
         corpus.save(out)
         print(f"wrote {len(corpus)} utterances to {out}")
     return 0
@@ -273,24 +287,24 @@ def cmd_gen_data(cfg, _args):
 
 def cmd_run(cfg, _args):
     if cfg.space is None or not cfg.stages:
-        raise ConfigError("run needs config.space and config.stages", field="config.stages")
+        raise ConfigError("config.stages", "run needs config.space and config.stages")
     corpora = _load_corpora(cfg)
     _check_space(cfg.space, corpora)
     for i, s in enumerate(cfg.systems):
-        _check_split(corpora[s["corpus"]], s["split"], f"config.systems.{i}.split")
+        _check_split(corpora[s.corpus], s.split, f"config.systems.{i}.split")
     rep = run_recipe(cfg.stages, corpora, cfg.out_dir, cfg.space, seed=cfg.seed)
     systems = []
     for s in cfg.systems:
-        ckpt_path = rep["checkpoints"].get(s["checkpoint"], s["checkpoint"])
-        systems.append(system_record(s["name"], ckpt_path, corpora[s["corpus"]], s["split"]))
+        ckpt_path = rep["checkpoints"].get(s.checkpoint, s.checkpoint)
+        systems.append(system_record(s.name, ckpt_path, corpora[s.corpus], s.split))
     report = evaluation_report(systems)
     report["stages"] = rep["stages"]
     return _emit(report, cfg.out_dir, "report")
 
 
 def cmd_evaluate(cfg, args):
-    corpora = _load_corpora(cfg)
-    corpus = corpora[args.corpus]
+    corpus = _load_corpora(cfg)[args.corpus]
+    _check_split(corpus, args.split, "--split")
     rec = system_record(args.name, args.checkpoint, corpus, args.split)
     return _emit(evaluation_report([rec]), cfg.out_dir, f"eval_{args.name}")
 
@@ -308,15 +322,13 @@ def cmd_dump_arch(_cfg, args):
 
 def cmd_sweep(cfg, _args):
     if cfg.sweep is None or cfg.space is None or not cfg.stages:
-        raise ConfigError("sweep needs config.sweep, config.space and config.stages",
-                          field="config.sweep")
+        raise ConfigError("config.sweep", "sweep needs config.sweep, .space and .stages")
     corpora = _load_corpora(cfg)
     _check_space(cfg.space, corpora)
-    _check_split(corpora[cfg.sweep["eval_corpus"]], cfg.sweep["eval_split"],
-                 "config.sweep.eval_split")
-    report = run_sweep(cfg.sweep["eta"], cfg.stages, corpora, cfg.out_dir, cfg.space,
-                       seed=cfg.seed, eval_corpus=cfg.sweep["eval_corpus"],
-                       eval_split=cfg.sweep["eval_split"])
+    sw = cfg.sweep
+    _check_split(corpora[sw.eval_corpus], sw.eval_split, "config.sweep.eval_split")
+    report = run_sweep(sw.eta, cfg.stages, corpora, cfg.out_dir, cfg.space, seed=cfg.seed,
+                       eval_corpus=sw.eval_corpus, eval_split=sw.eval_split)
     return _emit(report, cfg.out_dir, "sweep")
 
 

@@ -54,8 +54,8 @@ class DomainSpec:
     seg_jitter: float = 0.3
     tempo: float = 1.0
     noise_std: float = 0.05
-    channel_shift: object = 0.0
-    channel_scale: object = 1.0
+    channel_shift: float | tuple[float, ...] = 0.0
+    channel_scale: float | tuple[float, ...] = 1.0
     warp_length_grading: float = 0.0
     grammar_seed: int = 1234
     seed: int = 0

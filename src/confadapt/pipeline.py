@@ -64,8 +64,8 @@ class TrainingDivergedError(RuntimeError):
 
 
 class RecipeError(ValueError):
-    """Recipe stages are malformed or out of order. ``key`` names the
-    offending stage setting, and ``stage`` the stage's index once
+    """A recipe setting is malformed, or stages are out of order. ``key``
+    names the offending setting, and ``stage`` the stage's index once
     ``check_recipe`` has found it."""
 
     def __init__(self, message, key=None):
@@ -107,12 +107,12 @@ class StageConfig:
     eta: float = 0.0
     t_start: float = 1.0
     t_end: float = 0.1
-    seed: int = None
-    input: str = None
-    output: str = None
+    seed: int | None = None
+    input: str | None = None
+    output: str | None = None
     init: str = "inherit"
     reinit_output: bool = False
-    patience: int = None
+    patience: int | None = None
 
     # the fields every kind reads
     SHARED = ("name", "kind", "corpus", "epochs", "batch_size", "lr_weights", "seed", "output")
@@ -128,25 +128,12 @@ class StageConfig:
         def refuse(key, message):
             raise RecipeError(f"stage {self.name!r}: {message}", key)
 
-        for field in ("name", "kind", "corpus", "init", "input", "output"):
-            v = getattr(self, field)
-            if not isinstance(v, str) and not (v is None and field in ("input", "output")):
-                refuse(field, f"{field} must be a string, got {v!r}")
-        if not isinstance(self.reinit_output, bool):
-            refuse("reinit_output", f"reinit_output must be true or false, "
-                                    f"got {self.reinit_output!r}")
-        for field in ("lr_weights", "lr_logits", "eta", "t_start", "t_end"):
-            v = getattr(self, field)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                refuse(field, f"{field} must be a number, got {v!r}")
         if self.kind not in self.KINDS:
             refuse("kind", f"unknown kind {self.kind!r}")
         for field, least in (("epochs", 0), ("batch_size", 1), ("patience", 0), ("seed", 0)):
             v = getattr(self, field)
-            if field in ("patience", "seed") and v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, int) or v < least:
-                refuse(field, f"{field} must be an integer >= {least}, got {v!r}")
+            if v is not None and v < least:
+                refuse(field, f"{field} must be >= {least}, got {v!r}")
         for field in ("lr_weights", "lr_logits"):
             if not 0 < getattr(self, field) < math.inf:
                 refuse(field, f"{field} must be finite and positive, got {getattr(self, field)!r}")
@@ -154,6 +141,8 @@ class StageConfig:
             refuse("init", f"init must be one of {self.INITS}, got {self.init!r}")
         if not self.eta >= 0:
             refuse("eta", f"eta must be nonnegative, got {self.eta}")
+        if not self.t_start < math.inf:
+            refuse("t_start", f"t_start must be finite, got {self.t_start}")
         if not self.t_start >= self.t_end > 0:
             refuse("t_end", f"need t_start >= t_end > 0, got {self.t_start} and {self.t_end}")
 

@@ -46,25 +46,23 @@ class ArchSpace:
     vocab_size: int = 32
     encoder_blocks: int = 12
     decoder_blocks: int = 6
-    ff_choices: tuple = (512, 1024, 2048, 3072)
-    head_choices: tuple = (2, 4, 8)
-    head_dim_choices: tuple = (16, 32, 64, 96)
-    kernel_choices: tuple = (3, 5, 7)
+    ff_choices: tuple[int, ...] = (512, 1024, 2048, 3072)
+    head_choices: tuple[int, ...] = (2, 4, 8)
+    head_dim_choices: tuple[int, ...] = (16, 32, 64, 96)
+    kernel_choices: tuple[int, ...] = (3, 5, 7)
     split_decoder_attention: bool = False
 
     def __post_init__(self):
-        for f in ("ff_choices", "head_choices", "head_dim_choices", "kernel_choices"):
-            object.__setattr__(self, f, tuple(int(c) for c in getattr(self, f)))
         if self.model_dim <= 0 or self.feat_dim <= 0:
             raise ValueError("ArchSpace: model_dim and feat_dim must be positive")
         if self.encoder_blocks < 1 or self.decoder_blocks < 1:
             raise ValueError("ArchSpace: need at least one encoder and one decoder block")
         if self.vocab_size < 4:
             raise ValueError("ArchSpace: vocab must cover blank, sentinels and a token")
-        _check_choices("ff_choices", self.ff_choices)
-        _check_choices("head_choices", self.head_choices)
-        _check_choices("head_dim_choices", self.head_dim_choices)
-        _check_choices("kernel_choices", self.kernel_choices, odd=True)
+        # checked before the tuple of ints is stored, so 8.5 is refused, not truncated
+        for f in ("ff_choices", "head_choices", "head_dim_choices", "kernel_choices"):
+            _check_choices(f, getattr(self, f), odd=f == "kernel_choices")
+            object.__setattr__(self, f, tuple(int(c) for c in getattr(self, f)))
 
     # group layout --------------------------------------------------
 

@@ -118,6 +118,14 @@ class TestEvaluate:
         assert main(["evaluate", "-c", cfg_path, "--checkpoint", ckpt, "--name", "sys"]) == 0
         assert (tmp_path / "run" / "eval_sys.json").read_bytes() == first
 
+    def test_missing_split_exit_2_before_loading(self, workspace, capsys):
+        tmp_path, _, cfg_path = workspace
+        code = main(["evaluate", "-c", cfg_path, "--checkpoint", "no/such.ckpt",
+                     "--split", "eval", "--name", "nosplit"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "--split"
+        assert not (tmp_path / "run" / "eval_nosplit.json").exists()
+
     def test_missing_checkpoint_exit_3(self, workspace, capsys):
         _, _, cfg_path = workspace
         code = main(["evaluate", "-c", cfg_path, "--checkpoint", "no/such.ckpt"])
@@ -180,7 +188,45 @@ class TestConfigValidation:
         cfg = load_config(demo)
         assert cfg.space is not None
         assert [s.kind for s in cfg.stages][:2] == ["pretrain", "adapt"]
-        assert cfg.sweep["eta"] == [0.0, 9e-06, 9e-05]
+        assert cfg.sweep.eta == [0.0, 9e-06, 9e-05]
+
+    def test_schema_reads_every_default(self):
+        # every field of every config dataclass has an annotation the reader
+        # handles, and its default, written as JSON, reads back to itself
+        from dataclasses import MISSING, fields, is_dataclass
+        from types import UnionType
+        from typing import get_args, get_origin, get_type_hints
+        from confadapt import cli
+
+        def handled(hint):
+            origin, args = get_origin(hint), get_args(hint)
+            if origin is tuple:
+                return len(args) == 2 and args[1] is Ellipsis and handled(args[0])
+            if origin is dict:
+                return args[0] is str and handled(args[1])
+            if origin in (UnionType, list):
+                return all(handled(a) for a in args)
+            return hint in cli._SCALARS or is_dataclass(hint)
+
+        def parts(hint):
+            yield hint
+            for a in get_args(hint):
+                yield from parts(a)
+
+        seen, todo = set(), [cli.RunConfig]
+        while todo:
+            cls = todo.pop()
+            seen.add(cls)
+            hints = get_type_hints(cls)
+            for f in fields(cls):
+                hint = hints[f.name]
+                assert handled(hint), (cls.__name__, f.name, hint)
+                todo += [h for h in parts(hint) if is_dataclass(h) and h not in seen]
+                if f.default is not MISSING:
+                    as_json = json.loads(json.dumps(f.default))
+                    assert cli._read(as_json, hint, f.name) == f.default, (cls.__name__, f.name)
+        assert {c.__name__ for c in seen} >= {"RunConfig", "ArchSpace", "DomainSpec",
+                                              "StageConfig", "SystemConfig", "SweepConfig"}
 
     def test_unknown_key_exit_2_with_field(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -223,7 +269,8 @@ class TestConfigValidation:
                        (0, {"kind": ["pretrain"]}),
                        (4, {"reinit_output": "no"}), (5, {"reinit_output": 1}),
                        (0, {"eta": True}), (1, {"lr_weights": True}), (0, {"lr_logits": True}),
-                       (0, {"t_start": True}), (1, {"t_end": "0.1"}), (0, {"eta": "0"})):
+                       (0, {"t_start": True}), (1, {"t_end": "0.1"}), (0, {"eta": "0"}),
+                       (0, {"t_start": float("inf")})):
             cfg = base_config(tmp_path)
             cfg["stages"][i].update(bad)
             assert main(["run", "-c", write_config(tmp_path, cfg)]) == 2, bad
@@ -288,6 +335,27 @@ class TestConfigValidation:
         ("run", {"data.target.counts.test": 0}, [], "config.data.target.counts.test"),
         ("sweep", {"sweep": {"eta": ["0.5"]}}, [], "config.sweep.eta"),
         ("sweep", {"sweep": {"eta": [0.0, True]}}, [], "config.sweep.eta"),
+        # every field's annotation is its JSON type, in every part of the config
+        ("run", {"space.split_decoder_attention": "no"}, [],
+         "config.space.split_decoder_attention"),
+        ("run", {"space.encoder_blocks": True}, [], "config.space.encoder_blocks"),
+        ("run", {"space.model_dim": 16.0}, [], "config.space.model_dim"),
+        ("run", {"space.ff_choices": "816"}, [], "config.space.ff_choices"),
+        ("run", {"space.ff_choices": [8.5, 16]}, [], "config.space.ff_choices"),
+        ("run", {"systems.0.checkpoint": 5}, [], "config.systems.0.checkpoint"),
+        ("run", {"systems.0.split": 5}, [], "config.systems.0.split"),
+        ("run", {"systems.0.name": 5}, [], "config.systems.0.name"),
+        ("run", {"out_dir": 5}, [], "config.out_dir"),
+        ("run", {"data.dir": 5}, [], "config.data.dir"),
+        ("run", {"data.source.spec.feat_dim": 6.0}, [], "config.data.source.spec.feat_dim"),
+        ("run", {"data.source.spec.tokens_min": True}, [],
+         "config.data.source.spec.tokens_min"),
+        ("run", {"data.source.spec.domain": 5}, [], "config.data.source.spec.domain"),
+        ("run", {"data.source.spec.mean_frames": "120"}, [],
+         "config.data.source.spec.mean_frames"),
+        ("run", {"data.source.spec.seed": 1.5}, [], "config.data.source.spec.seed"),
+        ("run", {"data.source.spec.noise_std": True}, [], "config.data.source.spec.noise_std"),
+        ("sweep", {"sweep.eval_split": 5}, [], "config.sweep.eval_split"),
     ])
     def test_invalid_config_exits_2_before_any_stage(self, workspace, no_dev_data, tmp_path,
                                                      capsys, command, edit, overrides, field):

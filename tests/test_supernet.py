@@ -397,6 +397,15 @@ class TestParamCounts:
         assert got == pytest.approx(sum(counts) / 2, abs=1e-6)
 
 
+class TestArchSpace:
+    def test_non_integer_choice_refused(self):
+        # checked before the choices are stored as ints, so 8.5 is not truncated to 8
+        with pytest.raises(ValueError, match="ff_choices"):
+            replace(SPACE, ff_choices=(8.5, 16))
+        # a checkpoint's JSON lists load as tuples
+        assert replace(SPACE, ff_choices=[8, 16]).ff_choices == (8, 16)
+
+
 class _SplitSpace:
     """Re-runs the inherited tests on a supernet whose decoder blocks search
     self- and cross-attention separately. A subclass rather than a fixture

@@ -11,7 +11,9 @@ versioning, read by one rule: ``RunConfig`` and the dataclasses its
 fields name are the schema, each field's annotation is the JSON type it
 takes (a bool is not a number), and each class's constructor checks
 ranges. ``--set path=value`` overrides scalar fields only (dotted path,
-list indices allowed, e.g. ``--set stages.0.epochs=3``).
+list indices allowed, e.g. ``--set stages.0.epochs=3``); the path is
+looked up in the same annotations, so it may name a field the file
+leaves at its default.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 1 other failures. Errors also emit one machine-parsable JSON record on
@@ -196,27 +198,44 @@ def _object(cls, d, path, keys):
         raise ConfigError(at, str(exc)) from exc
 
 
+def _field_hint(hint, key):
+    """The annotation of ``key`` within a value annotated ``hint``; None
+    if the schema has no such field. A list takes an index, a map any key."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return next(filter(None, (_field_hint(arm, key) for arm in args)), None)
+    if is_dataclass(hint):
+        return get_type_hints(hint).get(key)
+    if origin in (list, tuple) and key.isdigit():
+        return args[0]
+    return args[1] if origin is dict else None
+
+
 def _apply_override(raw, spec_str):
+    """Set the scalar field that a dotted path names in the schema, also
+    one the file leaves at its default; a list element must exist."""
     if "=" not in spec_str:
         raise ConfigError(spec_str, "--set needs path=value")
     path, value = spec_str.split("=", 1)
-    *parents, leaf = path.split(".")
-    node = raw
-    try:
-        for p in parents:
-            node = node[int(p)] if isinstance(node, list) else node[p]
-        if isinstance(node, list):
-            leaf = int(leaf)
-        current = node[leaf]
-    except (KeyError, IndexError, TypeError, ValueError):
-        raise ConfigError(path, "--set names no such field") from None
-    if isinstance(current, (dict, list)):
-        raise ConfigError(path, "--set: not a scalar field")
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
-    node[leaf] = parsed
+    *parents, leaf = path.split(".")
+    node, hint = raw, RunConfig
+    try:  # a refused path leaves ``raw`` half edited, and the config is not read
+        for key in parents:
+            hint = _field_hint(hint, key)
+            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+        hint = _field_hint(hint, leaf)
+        node[int(leaf) if isinstance(node, list) else leaf] = parsed
+    except (IndexError, TypeError, ValueError, AttributeError):
+        hint = None
+    if hint is None:
+        raise ConfigError(path, "--set names no such field")
+    arms = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    if not any(a in _SCALARS and a is not NoneType for a in arms):
+        raise ConfigError(path, "--set: not a scalar field")
 
 
 def load_config(path, overrides=()):

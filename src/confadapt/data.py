@@ -63,8 +63,15 @@ class DomainSpec:
     def __post_init__(self):
         if self.feat_dim < 1 or self.vocab_tokens < 1:
             raise ValueError("DomainSpec: feat_dim and vocab_tokens must be positive")
-        if self.mean_frames <= 0 or not 0.0 <= self.frames_jitter < 1.0:
-            raise ValueError("DomainSpec: mean_frames must be positive, jitter in [0, 1)")
+        for name, ok, rule in (
+                ("mean_frames", 0 < self.mean_frames < np.inf, "finite and positive"),
+                ("frames_jitter", 0 <= self.frames_jitter < 1, "in [0, 1)"),
+                ("seg_jitter", 0 <= self.seg_jitter < 1, "in [0, 1)"),
+                ("tempo", 0 < self.tempo < np.inf, "finite and positive"),
+                ("noise_std", 0 <= self.noise_std < np.inf, "finite and nonnegative"),
+                ("warp_length_grading", 0 <= self.warp_length_grading <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError(f"DomainSpec: {name} must be {rule}, got {getattr(self, name)}")
         if not 1 <= self.tokens_min <= self.tokens_max:
             raise ValueError("DomainSpec: need 1 <= tokens_min <= tokens_max")
         if self.tokens_max > 1 and self.vocab_tokens < 2:
@@ -72,16 +79,13 @@ class DomainSpec:
                 "DomainSpec: multi-token utterances need at least 2 vocabulary tokens "
                 "(the grammar avoids adjacent repeats)"
             )
-        if self.tempo <= 0:
-            raise ValueError("DomainSpec: tempo must be positive")
-        if not 0.0 <= self.warp_length_grading <= 1.0:
-            raise ValueError("DomainSpec: warp_length_grading must be in [0, 1]")
         # a warp is stored as feat_dim floats; a scalar applies to every channel
         for name in ("channel_shift", "channel_scale"):
-            v = getattr(self, name)
-            v = tuple(float(c) for c in ([v] * self.feat_dim if np.ndim(v) == 0 else v))
-            if len(v) != self.feat_dim:
-                raise ValueError(f"DomainSpec: {name} needs 1 or {self.feat_dim} values, got {len(v)}")
+            given = getattr(self, name)
+            v = tuple(float(c) for c in ([given] * self.feat_dim if np.ndim(given) == 0 else given))
+            if len(v) != self.feat_dim or not np.isfinite(v).all():
+                raise ValueError(f"DomainSpec: {name} must be a finite number or a list of "
+                                 f"feat_dim ({self.feat_dim}) finite numbers, got {given!r}")
             object.__setattr__(self, name, v)
         if 0.0 in self.channel_scale:
             raise ValueError("DomainSpec: channel_scale must be invertible (nonzero)")

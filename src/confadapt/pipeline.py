@@ -34,7 +34,9 @@ Each stage derives all of its randomness from its own seed, so a recipe
 resumed at any stage boundary reproduces an uninterrupted run
 bit-exactly. A checkpoint holds what the next stage reads (weights,
 logits or arch, lineage), not optimizer or generator state, so a stage
-killed part-way restarts from scratch.
+killed part-way restarts from scratch. The search temperature is not
+state: each epoch's value comes from ``StageConfig.temperature``, and the
+value a supernet file records is never read back.
 """
 
 from __future__ import annotations
@@ -183,9 +185,7 @@ def sub_seed(seed, tag):
 
 def supernet_from_checkpoint(ckpt):
     ckpt.require_kind("supernet", "supernet_from_checkpoint")
-    net = ConformerSupernet(ckpt.space)
-    net.load_weights(ckpt.weights)
-    return net
+    return ConformerSupernet(ckpt.space, weights=ckpt.weights)
 
 
 def model_from_checkpoint(ckpt):
@@ -195,9 +195,6 @@ def model_from_checkpoint(ckpt):
 
 def logits_from_checkpoint(ckpt, eta=0.0):
     logits = ArchLogits(ckpt.space, eta=eta)
-    meta = ckpt.logits_meta or {}
-    if "temperature" in meta:
-        logits.temperature = float(meta["temperature"])
     for key, vec in logits.groups.items():
         vec.data[...] = ckpt.logits[_key_str(key)]
     return logits
@@ -234,20 +231,11 @@ def _diverged(stage, epoch):
     )
 
 
-def _model_checkpoint(model, lineage):
-    return Checkpoint(
-        kind="model",
-        space=model.space,
-        arch=model.arch,
-        weights={n: p.data.copy() for n, p in model.named_parameters().items()},
-        lineage=lineage,
-    )
-
-
 def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
     """Run a stage's epochs; return the kept checkpoint and the history.
 
-    The kind supplies ``snapshot()``, its checkpoint now; ``begin(epoch,
+    The kind supplies ``snapshot(epoch)``, its checkpoint once ``epoch`` is
+    done (epoch 0 also before the first epoch); ``begin(epoch,
     rng)``, the epoch's step (a train batch in, a tuple of losses out);
     and ``end(epoch, mean_losses)``, the history entry and whether to keep
     the epoch and to stop. A kept epoch is saved and returned, so the file
@@ -256,7 +244,7 @@ def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
     """
     cfg.check_splits(corpus)
     rng = np.random.default_rng(sub_seed(seed, "loop"))
-    kept = snapshot()
+    kept = snapshot(0)
     kept.save(out_path)
     history = []
     for epoch in range(cfg.epochs):
@@ -271,7 +259,7 @@ def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
         entry, keep, stop = end(epoch, sums / count)
         history.append(entry)
         if keep:
-            kept = snapshot()
+            kept = snapshot(epoch)
             kept.save(out_path)
         if stop:
             break
@@ -280,25 +268,27 @@ def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
 
 def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
     """Pretrain and adapt: alternating steps of the shared weights on train
-    batches and of the logits on held-out batches, at a temperature
-    annealed per epoch. Every epoch is kept."""
+    batches and of the logits on held-out batches, at the epoch's
+    ``cfg.temperature``. Every epoch is kept, and records the temperature
+    it ran at; a file written before the first epoch records the first
+    epoch's."""
     opt_w = Adam(task.named_parameters(), cfg.lr_weights)
     opt_l = Adam(logits.named_parameters(), cfg.lr_logits)
 
-    def snapshot():
+    def snapshot(epoch):
         return Checkpoint(kind="supernet", space=task.space, lineage=lineage,
                           weights={n: p.data.copy() for n, p in task.named_parameters().items()},
                           logits={_key_str(k): v.data.copy() for k, v in logits.groups.items()},
-                          logits_meta={"temperature": logits.temperature})
+                          logits_meta={"temperature": cfg.temperature(epoch)})
 
     def begin(epoch, rng):
-        logits.temperature = cfg.temperature(epoch)
+        t = cfg.temperature(epoch)
         # drawn before the loop shuffles the train split with the same rng
         held = itertools.cycle(list(iter_batches(corpus.split("heldout"), cfg.batch_size, rng)))
-        return lambda tb: alternating_step(tb, next(held), task, logits, opt_w, opt_l, rng=rng)
+        return lambda tb: alternating_step(tb, next(held), task, logits, opt_w, opt_l, rng, t)
 
     def end(epoch, means):
-        return {"epoch": epoch, "temperature": float(logits.temperature),
+        return {"epoch": epoch, "temperature": float(cfg.temperature(epoch)),
                 "train_loss": float(means[0]), "heldout_loss": float(means[1])}, True, False
 
     return _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end)
@@ -311,6 +301,10 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
     epochs in a row without improvement."""
     opt = Adam(model.named_parameters(), cfg.lr_weights)
     best, bad_epochs = math.inf, 0
+
+    def snapshot(epoch):
+        return Checkpoint(kind="model", space=model.space, arch=model.arch, lineage=lineage,
+                          weights={n: p.data.copy() for n, p in model.named_parameters().items()})
 
     def step(batch):
         loss = model.batch_loss(batch)
@@ -329,8 +323,7 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
         best, bad_epochs = (ter, 0) if ter < best else (best, bad_epochs + 1)
         return entry, bad_epochs == 0, bad_epochs > cfg.patience
 
-    return _epoch_loop(cfg, corpus, seed, out_path,
-                       lambda: _model_checkpoint(model, lineage), lambda epoch, rng: step, end)
+    return _epoch_loop(cfg, corpus, seed, out_path, snapshot, lambda epoch, rng: step, end)
 
 
 def _lineage_entry(cfg, seed):
@@ -348,7 +341,7 @@ def _lineage_entry(cfg, seed):
 def pretrain_supernet(corpus, cfg, space, out_path, seed=0):
     """Train a fresh supernet on the source corpus; emit its checkpoint."""
     net = ConformerSupernet(space, seed=sub_seed(seed, "init"))
-    logits = ArchLogits(space, temperature=cfg.t_start, eta=cfg.eta)
+    logits = ArchLogits(space, eta=cfg.eta)
     lineage = [_lineage_entry(cfg, seed)]
     return _search_stage(net, logits, corpus, cfg, seed, out_path, lineage)
 

@@ -1,7 +1,8 @@
 """Architecture-weight machinery: Gumbel-Softmax sampling, the
 size-penalized search loss, alternating optimization of shared weights
-and selection logits, and 1-best extraction. The per-epoch temperature
-schedule is ``pipeline.StageConfig.temperature``.
+and selection logits, and 1-best extraction. The logits hold no
+temperature: ``pipeline.StageConfig.temperature`` gives each epoch's
+value, and the search stage passes it to every ``alternating_step``.
 
 Selection weights for candidate i of a group are
 
@@ -27,16 +28,12 @@ from .tensor import Tensor, backward
 
 
 class ArchLogits:
-    """One free logit vector per searchable group, plus the sampling
-    temperature and the size-penalty factor."""
+    """One free logit vector per searchable group, plus the size-penalty factor."""
 
-    def __init__(self, space, temperature=1.0, eta=0.0):
-        if temperature <= 0:
-            raise ValueError(f"ArchLogits: temperature must be positive, got {temperature}")
+    def __init__(self, space, eta=0.0):
         if eta < 0:
             raise ValueError(f"ArchLogits: penalty factor must be nonnegative, got {eta}")
         self.space = space
-        self.temperature = float(temperature)
         self.eta = float(eta)
         # zero logits: uniform prior over candidates
         self.groups = {
@@ -48,15 +45,14 @@ class ArchLogits:
         return {f"logits.{_key_str(k)}": t for k, t in self.groups.items()}
 
 
-def sample_weights(logits, rng=None, temperature=None):
+def sample_weights(logits, rng=None, temperature=1.0):
     """Draw per-group mixing weights with Gumbel noise on the logits.
 
     ``rng=None`` is the deterministic hook: zero noise, which reduces to
     a plain tempered softmax of the logits.
     """
-    t = logits.temperature if temperature is None else float(temperature)
-    if t <= 0:
-        raise ValueError(f"sample_weights: temperature must be positive, got {t}")
+    if temperature <= 0:
+        raise ValueError(f"sample_weights: temperature must be positive, got {temperature}")
     out = {}
     for key, vec in logits.groups.items():
         if rng is None:
@@ -64,7 +60,7 @@ def sample_weights(logits, rng=None, temperature=None):
         else:
             u = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=vec.shape)
             noise = -np.log(-np.log(u))
-        out[key] = T.softmax((vec + Tensor(noise)) * (1.0 / t), axis=-1)
+        out[key] = T.softmax((vec + Tensor(noise)) * (1.0 / temperature), axis=-1)
     return out
 
 
@@ -101,7 +97,8 @@ def _require_finite(loss, which):
         raise FloatingPointError(f"alternating_step: non-finite {which} loss")
 
 
-def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits, rng):
+def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_logits, rng,
+                     temperature):
     """One decoupled optimization step, first order as in DARTS.
 
     ``task`` is anything with ``space``, ``named_parameters()`` and
@@ -116,8 +113,8 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
     the logits stay off its tape; the logits half clears
     ``requires_grad`` on the shared weights for its forward and backward
     pass and restores it on the way out, also when the half raises.
-    ``rng`` draws the Gumbel noise of both samples. Returns both loss
-    values.
+    ``rng`` draws the Gumbel noise of both samples, both at
+    ``temperature``. Returns both loss values.
 
     Gradients are cleared once, on entry. ``Adam.step`` clears what it
     steps; the entry clear removes what a refused step left behind.
@@ -133,7 +130,7 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
     weights = task.named_parameters()
     zero_all(weights, logits.groups)
     with T.no_grad():
-        lam = sample_weights(logits, rng=rng)
+        lam = sample_weights(logits, rng, temperature)
     loss_w = task.batch_loss(train_batch, lam)
     _require_finite(loss_w, "training")
     backward(loss_w)
@@ -143,7 +140,7 @@ def alternating_step(train_batch, heldout_batch, task, logits, opt_weights, opt_
     for p in frozen:
         p.requires_grad = False
     try:
-        lam = sample_weights(logits, rng=rng)
+        lam = sample_weights(logits, rng, temperature)
         loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
         _require_finite(loss_l, "held-out")
         backward(loss_l)

@@ -65,16 +65,28 @@ def _init_value(shape, kind, rng):
 
 
 class _Builder:
-    """Registers parameters in creation order with values drawn from ``rng``,
-    and records the init kind of each."""
+    """Registers parameters in creation order, and records the init kind
+    of each. A parameter is a copy of its array in ``weights`` (full name
+    -> array), never a view of it; without weights it is drawn from
+    ``rng``."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, weights=None):
         self.params = {}
         self.kinds = {}
         self.rng = rng
+        self.weights = weights
 
     def __call__(self, name, shape, kind):
-        p = Tensor(_init_value(tuple(shape), kind, self.rng), requires_grad=True)
+        if self.weights is None:
+            value = _init_value(shape, kind, self.rng)
+        elif name not in self.weights:
+            raise IncompatibleCheckpointError(f"checkpoint is missing parameter {name}")
+        else:
+            value = np.array(self.weights[name], dtype=np.float64, order="C")
+            if value.shape != shape:
+                raise IncompatibleCheckpointError(
+                    f"checkpoint parameter {name}: shape {value.shape} != {shape}")
+        p = Tensor(value, requires_grad=True)
         self.params[name] = p
         self.kinds[name] = kind
         return p
@@ -375,13 +387,13 @@ def _sinusoid(length, d):
 
 class _ConformerCore:
     """Shared structure of the supernet and materialized models: buffers
-    sized to ``arch``, values drawn from ``seed``."""
+    sized to ``arch``, values copied from ``weights`` or drawn from ``seed``."""
 
-    def __init__(self, space, arch, seed):
+    def __init__(self, space, arch, seed, weights):
         if space.model_dim % 2 != 0:
             raise ValueError("model_dim must be even (sinusoidal positions)")
         self.space = space
-        build = _Builder(np.random.default_rng(seed))
+        build = _Builder(np.random.default_rng(seed), weights)
         d, f, v = space.model_dim, space.feat_dim, space.vocab_size
         # two conv-subsampling stages, feat_dim -> model_dim -> model_dim
         self.front = [
@@ -404,17 +416,6 @@ class _ConformerCore:
 
     def named_parameters(self):
         return dict(self.params)
-
-    def load_weights(self, weights):
-        """Copy ``weights`` (full name -> array) into every parameter."""
-        for name, p in self.params.items():
-            if name not in weights:
-                raise IncompatibleCheckpointError(f"checkpoint is missing parameter {name}")
-            if weights[name].shape != p.data.shape:
-                raise IncompatibleCheckpointError(
-                    f"checkpoint parameter {name}: shape {weights[name].shape} != {p.data.shape}"
-                )
-            p.data[...] = weights[name]
 
     def _posenc(self, length):
         if length not in self._pos:
@@ -506,8 +507,8 @@ def _check_weights(space, weights, tol=1e-6):
 class ConformerSupernet(_ConformerCore):
     """All candidate structures in one weight-shared model."""
 
-    def __init__(self, space, seed=0):
-        super().__init__(space, DerivedArch.maximal(space), seed)
+    def __init__(self, space, seed=0, weights=None):
+        super().__init__(space, DerivedArch.maximal(space), seed, weights)
 
     def mixed_forward(self, batch, weights):
         """Forward with every searchable sub-module mixing its branches."""
@@ -533,7 +534,6 @@ class ConformerSupernet(_ConformerCore):
 
     def materialize(self, arch, init="inherit", seed=0):
         """Standalone model for ``arch``, inheriting slices or drawn fresh."""
-        arch.validate(self.space)
         if init == "inherit":
             return DerivedModel(self.space, arch, weights=self.sliced_weights(arch))
         if init == "fresh":
@@ -547,9 +547,7 @@ class DerivedModel(_ConformerCore):
     def __init__(self, space, arch, weights=None, seed=0):
         arch.validate(space)
         self.arch = arch
-        super().__init__(space, arch, seed)
-        if weights is not None:
-            self.load_weights(weights)
+        super().__init__(space, arch, seed, weights)
 
     def param_count(self):
         return sum(p.data.size for p in self.params.values())

@@ -1,7 +1,7 @@
 """Float64 tensors with reverse-mode automatic differentiation.
 
 The operation set is what the searchable Conformer stack and its sequence
-losses need, plus ``transpose``, ``concat``, ``stack``, ``logsumexp`` and
+losses need, plus ``transpose``, ``concat``, ``logsumexp`` and
 ``sigmoid``, which only tests call (the tape attention and CTC oracles,
 op tests, criterion 1). Attention and every affine projection are one
 structured op each, ``attention`` and ``linear``, with a closed-form
@@ -377,11 +377,6 @@ def concat(tensors, axis=0):
             ofs += n
 
     return _from_op(data, tensors, bw)
-
-
-def stack(tensors, axis=0):
-    expanded = [reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:]) for t in map(as_tensor, tensors)]
-    return concat(expanded, axis=axis)
 
 
 def tensor_sum(x, axis=None, keepdims=False):

@@ -116,9 +116,11 @@ def source_baseline(tmp_path_factory):
     supernet = ConformerSupernet(E2E_SPACE, seed=3)
     model = supernet.materialize(DerivedArch.maximal(E2E_SPACE), init="fresh", seed=7)
     arch_ckpt = base / "init.ckpt"
-    from confadapt.pipeline import _model_checkpoint, parameter_finetune
+    from confadapt.pipeline import parameter_finetune
 
-    _model_checkpoint(model, []).save(arch_ckpt)
+    Checkpoint(kind="model", space=E2E_SPACE, arch=model.arch,
+               weights={n: p.data.copy() for n, p in model.named_parameters().items()}
+               ).save(arch_ckpt)
     cfg = StageConfig("train_src", "finetune", corpus="source", epochs=32, batch_size=8,
                       lr_weights=2e-3, patience=12, output="baseline")
     ckpt, history = parameter_finetune(

@@ -8,7 +8,7 @@ import pytest
 from confadapt.checkpoint import Checkpoint
 from confadapt.cli import main
 from confadapt.pipeline import StageConfig, run_recipe
-from confadapt.report import arch_table, sweep as run_sweep
+from confadapt.report import arch_table, render_report, sweep as run_sweep
 from confadapt.data import Corpus, default_domain_pair
 from confadapt.space import ArchSpace, DerivedArch
 
@@ -285,6 +285,16 @@ class TestConfigValidation:
         assert loaded.seed == 42
         assert loaded.stages[0].epochs == 0
 
+    def test_set_reaches_a_field_the_file_leaves_at_its_default(self):
+        from pathlib import Path
+        from confadapt.cli import ConfigError, load_config
+        demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+        cfg = load_config(demo, ["space.split_decoder_attention=true", "sweep.eval_split=dev"])
+        assert cfg.space.split_decoder_attention and cfg.sweep.eval_split == "dev"
+        for bad in ("space.no_such_field=1", "sweep.eval_split.x=1", "stages.0.epochs.0=1"):
+            with pytest.raises(ConfigError, match="--set names no such field"):
+                load_config(demo, [bad])
+
     def test_set_rejects_non_scalar(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         code = main(["run", "-c", write_config(tmp_path, cfg), "--set", "data=1"])
@@ -356,6 +366,13 @@ class TestConfigValidation:
         ("run", {"data.source.spec.seed": 1.5}, [], "config.data.source.spec.seed"),
         ("run", {"data.source.spec.noise_std": True}, [], "config.data.source.spec.noise_std"),
         ("sweep", {"sweep.eval_split": 5}, [], "config.sweep.eval_split"),
+        # a spec value the generator cannot use
+        ("run", {"data.source.spec.tempo": float("nan")}, [], "config.data.source.spec"),
+        ("run", {"data.source.spec.mean_frames": float("inf")}, [], "config.data.source.spec"),
+        ("run", {"data.source.spec.noise_std": -1.0}, [], "config.data.source.spec"),
+        ("run", {"data.source.spec.seg_jitter": 1.5}, [], "config.data.source.spec"),
+        ("run", {"data.source.spec.seg_jitter": -0.5}, [], "config.data.source.spec"),
+        ("run", {"data.target.spec.channel_shift": float("inf")}, [], "config.data.target.spec"),
     ])
     def test_invalid_config_exits_2_before_any_stage(self, workspace, no_dev_data, tmp_path,
                                                      capsys, command, edit, overrides, field):
@@ -460,6 +477,9 @@ class TestSweep:
         assert "error" not in report["systems"][0]
         assert "error" in report["systems"][1]
         assert "diverged" in report["systems"][1]["error"]
+        failed = render_report(report).splitlines()[2]
+        assert failed.startswith("eta=inf ") and "FAILED: stage 'ad' diverged" in failed
+
     def test_negative_eta_refused_before_any_stage(self, workspace, tmp_path):
         tmp_path_ws, cfg, _ = workspace
         corpora = {d: Corpus.load(tmp_path_ws / "data" / d) for d in ("source", "target")}

@@ -1,5 +1,8 @@
 """Synthetic corpus generation, determinism, serialization, median split."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -136,9 +139,23 @@ class TestSpecValidation:
             assert again == spec
 
     def test_wrong_length_warp_rejected(self):
+        # the message states the rule: a number, or one number per channel
         for field in ("channel_shift", "channel_scale"):
-            with pytest.raises(ValueError, match=field):
-                small_spec(**{field: (1.0, 2.0)})
+            for value in ((1.0, 2.0), (0.1,)):
+                rule = (f"{field} must be a finite number or a list of feat_dim (6) finite "
+                        f"numbers, got {value}")
+                with pytest.raises(ValueError, match=re.escape(rule)):
+                    small_spec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_frames", math.inf), ("mean_frames", math.nan), ("tempo", math.nan),
+        ("tempo", math.inf), ("noise_std", -1.0), ("noise_std", math.nan),
+        ("seg_jitter", 1.5), ("seg_jitter", -0.5), ("channel_shift", math.inf),
+        ("channel_scale", (1.0,) * 5 + (math.nan,)),
+    ])
+    def test_value_it_cannot_generate_from_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_spec(**{field: value})
 
     def test_scalar_warp_is_its_per_channel_spelling(self):
         scalar = small_spec(channel_shift=0.5, channel_scale=2.0)

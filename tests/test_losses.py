@@ -79,7 +79,8 @@ def tape_ctc_loss(log_probs, reference):
         cands = [alpha, T.concat([lz1, alpha[: s_len - 1]])]
         if s_len > 2:
             cands.append(T.masked_fill(T.concat([lz2, alpha[: s_len - 2]]), no_skip, LOG_ZERO))
-        alpha = T.logsumexp(T.stack(cands, axis=0), axis=0) + emit[t]
+        stacked = T.concat([c.reshape(1, s_len) for c in cands], axis=0)
+        alpha = T.logsumexp(stacked, axis=0) + emit[t]
 
     if s_len > 1:
         total = T.logsumexp(alpha[s_len - 2:], axis=0)

@@ -1,5 +1,7 @@
 """Checkpoints, stage contracts, recipes, and adaptation control runs."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from confadapt.data import Corpus, default_domain_pair, generate
 from confadapt.pipeline import (
     RecipeError,
     StageConfig,
+    StageInputError,
     TrainingDivergedError,
     adapt_supernet,
     derive_model,
@@ -18,6 +21,7 @@ from confadapt.pipeline import (
     pretrain_supernet,
     run_recipe,
     sub_seed,
+    supernet_from_checkpoint,
 )
 from confadapt.optim import Adam
 from confadapt.search import ArchLogits, extract
@@ -98,6 +102,10 @@ class TestCheckpointRoundTrip:
         bad.write_bytes(blob.replace(b"lineage", b"lineagX", 1))
         with pytest.raises(IncompatibleCheckpointError, match="missing sections.*lineage"):
             Checkpoint.load(bad)
+        # another format version; the u32 after the 8-byte magic
+        bad.write_bytes(blob[:8] + struct.pack("<I", 2) + blob[12:])
+        with pytest.raises(IncompatibleCheckpointError, match="bad.ckpt.*version 2"):
+            Checkpoint.load(bad)
         # well-formed sections with malformed contents; each edit keeps the
         # byte length, so only the JSON meaning changes
         for old, new in ((b'"kind"', b'"kinX"'),               # meta without a kind
@@ -151,6 +159,22 @@ class TestCheckpointRoundTrip:
             with pytest.raises(IncompatibleCheckpointError, match=message):
                 derive_model(supernet, corpora["source"], cfg("d", "derive", epochs=0),
                              tmp_path / "m.ckpt")
+
+    def test_loaded_models_copy_the_checkpoint_weights(self):
+        # one Checkpoint may feed several stage calls, so a model must never
+        # train the arrays it was loaded from
+        weights = {n: p.data.copy() for n, p in ConformerSupernet(SPACE, seed=0).params.items()}
+        logits = {f"{k[0]}.{k[1]}.{k[2]}": np.zeros(len(c)) for k, c in SPACE.groups()}
+        before = {n: w.tobytes() for n, w in weights.items()}
+        supernet = supernet_from_checkpoint(
+            Checkpoint(kind="supernet", space=SPACE, weights=weights, logits=logits))
+        model = model_from_checkpoint(Checkpoint(kind="model", space=SPACE, weights=weights,
+                                                 arch=DerivedArch.maximal(SPACE)))
+        for net in (supernet, model):
+            for name, p in net.params.items():
+                assert p.data.tobytes() == before[name]
+                p.data += 1.0
+        assert {n: w.tobytes() for n, w in weights.items()} == before
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -210,7 +234,7 @@ class TestPretrain:
         path = tmp_path / "toy.ckpt"
         stage = cfg("p", "pretrain", epochs=40, lr_logits=1e-2, lr_weights=2e-2)
         ckpt, _ = pipeline._search_stage(
-            ToyTask(), ArchLogits(SPACE, temperature=stage.t_start),
+            ToyTask(), ArchLogits(SPACE),
             corpora["source"], stage, 5, path, [],
         )
         logits = logits_from_checkpoint(ckpt)
@@ -234,12 +258,14 @@ def pretrained(corpora, tmp_path_factory):
 class TestAdapt:
     def test_zero_epochs_keeps_logits(self, pretrained, corpora, tmp_path):
         path = tmp_path / "ad.ckpt"
-        ckpt, _ = adapt_supernet(
-            pretrained, corpora["target"], cfg("a", "adapt", corpus="target", epochs=0),
-            path, seed=2,
-        )
+        stage = cfg("a", "adapt", corpus="target", epochs=0, t_end=0.2)
+        ckpt, _ = adapt_supernet(pretrained, corpora["target"], stage, path, seed=2)
         for name, arr in pretrained.logits.items():
             assert (ckpt.logits[name] == arr).all()
+        # the temperature comes from the stage schedule, not from the input file
+        assert pretrained.logits_meta == {"temperature": 0.1}
+        assert Checkpoint.load(path).logits_meta == {"temperature": stage.temperature(0)}
+        assert stage.temperature(0) == 0.2
 
     def test_space_mismatch_rejected(self, pretrained, corpora, tmp_path):
         # a recipe checks every input checkpoint against its configured
@@ -415,9 +441,15 @@ class TestRunRecipe:
             assert b1 == b2, f"checkpoint {name} differs between identical runs"
 
     def test_unknown_input_refused_with_diagnostic(self, corpora, tmp_path):
-        stages = [cfg("de", "derive", input="nonexistent", output="m")]
-        with pytest.raises(RecipeError, match="nonexistent"):
-            run_recipe(stages, corpora, tmp_path, SPACE, seed=1)
+        corrupt = tmp_path / "bad.ckpt"
+        corrupt.write_bytes(b"not a checkpoint")
+        for given, error, message in (
+                ("nonexistent", RecipeError, "nonexistent"),
+                (str(corrupt), StageInputError, "bad.ckpt: not a checkpoint")):
+            stages = [cfg("de", "derive", input=given, output="m")]
+            with pytest.raises(error, match=message):
+                run_recipe(stages, corpora, tmp_path / "out", SPACE, seed=1)
+            assert not (tmp_path / "out").exists()
 
     def test_wrong_kind_input_refused(self, corpora, tmp_path):
         stages = [
@@ -432,13 +464,15 @@ class TestRunRecipe:
             run_recipe([cfg("ad", "adapt")], corpora, tmp_path, SPACE, seed=1)
 
     def test_duplicate_outputs_refused_before_any_stage(self, corpora, tmp_path):
-        for stages in (
-            [cfg("a", "pretrain", epochs=0, output="x"),
-             cfg("b", "pretrain", epochs=0, output="x")],
-            [cfg("x", "pretrain", epochs=0),
-             cfg("b", "pretrain", epochs=0, output="x")],
+        for stages, message in (
+            ([cfg("a", "pretrain", epochs=0, output="x"),
+              cfg("b", "pretrain", epochs=0, output="x")], "outputs must be unique"),
+            ([cfg("x", "pretrain", epochs=0),
+              cfg("b", "pretrain", epochs=0, output="x")], "outputs must be unique"),
+            ([cfg("a", "pretrain", epochs=0, output="x"),
+              cfg("a", "pretrain", epochs=0, output="y")], "names must be unique"),
         ):
-            with pytest.raises(RecipeError, match="outputs must be unique"):
+            with pytest.raises(RecipeError, match=message):
                 run_recipe(stages, corpora, tmp_path, SPACE, seed=1)
             assert not list(tmp_path.glob("**/*.ckpt"))
 

@@ -36,8 +36,8 @@ def toy_logits(**kw):
 
 class TestSampleWeights:
     def test_equal_logits_zero_noise_uniform(self):
-        logits = toy_logits(temperature=0.37)
-        lam = sample_weights(logits, rng=None)
+        logits = toy_logits()
+        lam = sample_weights(logits, rng=None, temperature=0.37)
         for key, vec in lam.items():
             n = len(TOY_SPACE.group_choices(key))
             np.testing.assert_allclose(vec.data, np.full(n, 1 / n), atol=1e-12)
@@ -58,10 +58,10 @@ class TestSampleWeights:
             ff_choices=(512, 1024, 2048), head_choices=(1,), head_dim_choices=(4,),
             kernel_choices=(3,),
         )
-        logits = ArchLogits(space, temperature=0.1)
+        logits = ArchLogits(space)
         key = ("enc", 0, "fd")
         logits.groups[key].data[...] = [2.0, 0.0, 0.0]
-        lam = sample_weights(logits, rng=None)[key]
+        lam = sample_weights(logits, rng=None, temperature=0.1)[key]
         # independent high-precision evaluation of softmax([20, 0, 0])
         z = np.exp(np.array([20.0, 0.0, 0.0]) - 20.0)
         expect = z / z.sum()
@@ -267,20 +267,21 @@ class TestAlternatingStep:
     def test_zero_logit_lr_keeps_logits_bitwise(self):
         task, logits, ow, ol, rng = self._setup(lr_l=0.0)
         before = {k: v.data.copy() for k, v in logits.groups.items()}
-        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng=rng)
+        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng, 1.0)
         for k, v in logits.groups.items():
             assert (v.data == before[k]).all()
 
     def test_weights_untouched_by_logit_step(self):
         task, logits, ow, ol, rng = self._setup(lr_w=0.0)
         before = task.w.data.copy()
-        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng=rng)
+        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng, 1.0)
         assert (task.w.data == before).all()
 
     def test_empty_batch_rejected(self):
         task, logits, ow, ol, rng = self._setup()
         with pytest.raises(ValueError, match="empty"):
-            alternating_step(SimpleNamespace(size=0), _dummy_batch(), task, logits, ow, ol, rng=rng)
+            alternating_step(SimpleNamespace(size=0), _dummy_batch(), task, logits, ow, ol,
+                             rng, 1.0)
 
     def test_non_finite_loss_raises_before_its_step(self):
         class ScaledTask(TwoBranchTask):
@@ -292,18 +293,18 @@ class TestAlternatingStep:
         ow, ol = Adam(task.named_parameters(), 1e-2), Adam(logits.named_parameters(), 2e-2)
         rng = np.random.default_rng(9)
         good, poisoned = SimpleNamespace(size=1, scale=1.0), SimpleNamespace(size=1, scale=np.nan)
-        alternating_step(good, good, task, logits, ow, ol, rng=rng)
+        alternating_step(good, good, task, logits, ow, ol, rng, 1.0)
         w_before = task.w.data.copy()
         l_before = {k: v.data.copy() for k, v in logits.groups.items()}
         with pytest.raises(FloatingPointError, match="training"):
-            alternating_step(poisoned, good, task, logits, ow, ol, rng=rng)
+            alternating_step(poisoned, good, task, logits, ow, ol, rng, 1.0)
         assert task.w.data.tobytes() == w_before.tobytes()
         for k, v in logits.groups.items():
             assert v.data.tobytes() == l_before[k].tobytes()
         # a poisoned held-out batch stops the logit step; the weight step
         # on the clean training batch has already been taken
         with pytest.raises(FloatingPointError, match="held-out"):
-            alternating_step(good, poisoned, task, logits, ow, ol, rng=rng)
+            alternating_step(good, poisoned, task, logits, ow, ol, rng, 1.0)
         assert np.isfinite(task.w.data).all()
         for k, v in logits.groups.items():
             assert v.data.tobytes() == l_before[k].tobytes()
@@ -312,7 +313,7 @@ class TestAlternatingStep:
         # branch with strictly lower held-out loss must win decisively
         task, logits, ow, ol, rng = self._setup(lr_l=2e-2)
         for _ in range(200):
-            alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng=rng)
+            alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol, rng, 1.0)
         lam = expected_weights(logits)[("enc", 0, "ck")].data
         assert lam[0] > 0.9
         # and the trainable weight moved toward its optimum
@@ -320,7 +321,7 @@ class TestAlternatingStep:
 
 
 def reference_alternating_step(train_batch, heldout_batch, task, logits, opt_weights,
-                               opt_logits, rng):
+                               opt_logits, rng, temperature):
     """Full-backward oracle for ``alternating_step``: both halves
     differentiate every parameter, and three ``zero_all`` calls clear the
     gradients a half does not step."""
@@ -328,14 +329,14 @@ def reference_alternating_step(train_batch, heldout_batch, task, logits, opt_wei
         raise ValueError("alternating_step: empty batch")
 
     zero_all(task.named_parameters(), logits.groups)
-    lam = sample_weights(logits, rng=rng)
+    lam = sample_weights(logits, rng, temperature)
     loss_w = task.batch_loss(train_batch, lam)
     _require_finite(loss_w, "training")
     backward(loss_w)
     opt_weights.step()
 
     zero_all(task.named_parameters(), logits.groups)
-    lam = sample_weights(logits, rng=rng)
+    lam = sample_weights(logits, rng, temperature)
     loss_l = penalized_loss(task.batch_loss(heldout_batch, lam), logits)
     _require_finite(loss_l, "held-out")
     backward(loss_l)
@@ -378,7 +379,7 @@ class TestEachHalfStepsOnlyItsOwnSet:
         logits = toy_logits(eta=0.1)
         ow, ol = Adam(task.named_parameters(), 1e-2), Adam(logits.named_parameters(), 2e-2)
         return alternating_step(_dummy_batch(), heldout, task, logits, ow, ol,
-                                rng=np.random.default_rng(9))
+                                rng=np.random.default_rng(9), temperature=1.0)
 
     def _assert_weights_restored_and_clear(self, task):
         assert task.w.requires_grad
@@ -418,8 +419,8 @@ class TestEachHalfStepsOnlyItsOwnSet:
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
             ow.step()
         assert np.isinf(task.w.grad).all()
-        got = alternating_step(_dummy_batch(), _dummy_batch(), *poisoned[:4], rng=poisoned[4])
-        want = alternating_step(_dummy_batch(), _dummy_batch(), *clean[:4], rng=clean[4])
+        got = alternating_step(_dummy_batch(), _dummy_batch(), *poisoned[:4], poisoned[4], 1.0)
+        want = alternating_step(_dummy_batch(), _dummy_batch(), *clean[:4], clean[4], 1.0)
         assert got == want
         assert _state(*poisoned) == _state(*clean)
 
@@ -431,14 +432,15 @@ class TestStepMatchesFullBackwardReference:
 
         def setup():
             task = ConformerSupernet(SPACE, seed=5)
-            logits = ArchLogits(SPACE, temperature=0.7, eta=1e-4)
+            logits = ArchLogits(SPACE, eta=1e-4)
             return (task, logits, Adam(task.named_parameters(), 1e-2),
                     Adam(logits.named_parameters(), 3e-2), np.random.default_rng(9))
 
         new, ref, fresh = setup(), setup(), _state(*setup())
         for train, heldout in batches:
-            got = alternating_step(train, heldout, *new[:4], rng=new[4])
-            want = reference_alternating_step(train, heldout, *ref[:4], rng=ref[4])
+            got = alternating_step(train, heldout, *new[:4], rng=new[4], temperature=0.7)
+            want = reference_alternating_step(train, heldout, *ref[:4], rng=ref[4],
+                                              temperature=0.7)
             assert got == want
         after = _state(*new)
         assert after == _state(*ref)

@@ -68,7 +68,9 @@ class _Builder:
     """Registers parameters in creation order, and records the init kind
     of each. A parameter is a copy of its array in ``weights`` (full name
     -> array), never a view of it; without weights it is drawn from
-    ``rng``."""
+    ``rng``. This is the one copy of inherited or loaded weights, so a
+    model never shares a buffer with the supernet or checkpoint it was
+    built from."""
 
     def __init__(self, rng, weights=None):
         self.params = {}
@@ -128,8 +130,9 @@ def attn_core(q, k, v, head_dim, key_pad=None, causal=False):
 
 
 def _export(prefix, names, arrays):
-    """Contiguous copies of sliced parameter arrays, keyed by full name."""
-    return {f"{prefix}.{n}": a.copy() for n, a in zip(names, arrays)}
+    """Sliced parameter arrays keyed by full name, uncopied: views of the
+    supernet's buffers wherever numpy can slice and reshape without a copy."""
+    return {f"{prefix}.{n}": a for n, a in zip(names, arrays)}
 
 
 def _prefix_mask(choices, width):
@@ -525,9 +528,10 @@ class ConformerSupernet(_ConformerCore):
         return self._forward(batch.features, batch.feat_lens, batch.tokens_in, arch)
 
     def sliced_weights(self, arch):
-        """Copy out the parameter subset a derived arch uses."""
+        """The parameter subset a derived arch uses, as slices and views of
+        the supernet's buffers; a model built from them copies each array."""
         arch.validate(self.space)
-        out = {name: p.data.copy() for name, p in self.params.items()}
+        out = {name: p.data for name, p in self.params.items()}
         for blk in self.enc_blocks + self.dec_blocks:
             out.update(blk.export(arch))
         return out

@@ -19,7 +19,12 @@ Constraints that keep the gradient rules small and testable:
   checks ``requires_grad`` when it runs, so clearing the flag on a
   weight until after ``backward`` freezes it,
 - ``backward`` consumes the recorded graph, so each recorded forward
-  supports one backward pass.
+  supports one backward pass. It releases each op node once the node's
+  gradient rule has run: a node nobody else holds is freed then, with
+  its output, its grad and the arrays its rule saved, so one backward
+  never holds the whole tape and all its gradients at once. A node the
+  caller holds (the loss, or an intermediate) keeps its ``grad`` and
+  stays consumed.
 
 Leaf tensors created with ``requires_grad=True`` hold a zero ``grad``
 buffer from the start, so a leaf that never contributes to a loss reads
@@ -185,8 +190,10 @@ def _grad_buffer(x):
 def backward(loss):
     """Populate ``grad`` for every contributing tensor of a scalar loss.
 
-    Consumes the recorded graph: the visited op nodes are released and a
-    second backward through any of them raises ``RuntimeError``.
+    Consumes the recorded graph: each op node is released as soon as its
+    rule has run, so a node the caller does not hold is freed before the
+    rules below it run. A node the caller holds keeps its ``grad``, and a
+    second backward through it raises ``RuntimeError``.
     """
     if not isinstance(loss, Tensor):
         raise TypeError(f"backward expects a Tensor, got {type(loss).__name__}")
@@ -216,7 +223,10 @@ def backward(loss):
 
     _accumulate(loss, 1.0)
 
-    for node in reversed(topo):
+    # popping drops the walk's own reference: its children have already cut
+    # their edges to it, so once its rule has run an unheld node is freed
+    while topo:
+        node = topo.pop()
         fn = node._backward
         if fn is not None:
             fn(node.grad if node.grad is not None else np.zeros_like(node.data))
@@ -431,7 +441,7 @@ def swish(x):
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g * (s + x.data * s * (1.0 - s)))
+            _accumulate(x, g * (s + data * (1.0 - s)))
 
     return _from_op(data, (x,), bw)
 

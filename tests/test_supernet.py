@@ -342,6 +342,18 @@ class TestMaterialize:
             for n in fresh.named_parameters()
         )
 
+    def test_inherited_weights_do_not_alias_the_supernet(self, net):
+        # a fresh supernet, since this test writes into its parameters
+        space = net.space
+        net = ConformerSupernet(space, seed=0)
+        for arch in (DerivedArch.maximal(space), DerivedArch.minimal(space)):
+            model = net.materialize(arch, init="inherit")
+            before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+            for p in net.params.values():
+                p.data[...] += 1.0
+            for n, p in model.named_parameters().items():
+                assert p.data.tobytes() == before[n].tobytes(), n
+
     def test_invalid_arch_rejected(self, net, batch):
         bad = DerivedArch({k: c[0] for k, c in net.space.groups()})
         bad.choices[("enc", 0, "fd")] = 999

@@ -1,5 +1,7 @@
 """Tensor op semantics and gradient correctness against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ class TestBackwardBasics:
         y = x * x * x  # d/dx x^3 = 3 x^2
         backward(y.sum())
         np.testing.assert_allclose(x.grad, [3 * 1.5**2])
+
+    def test_backward_frees_released_nodes(self):
+        # with only the loss held, each node's output and grad go back to the
+        # allocator once its rule has run, so the traced peak stays a few
+        # arrays wide instead of growing with the chain length
+        x = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
+        y = x
+        for _ in range(20):
+            y = y * 1.01
+        loss = y.sum()
+        del y
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.data.nbytes
+        np.testing.assert_allclose(x.grad, np.full((256, 256), 1.01 ** 20))
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor([1.0], requires_grad=True)

@@ -176,6 +176,12 @@ class Corpus:
             u = Utterance(rec["id"], rec["domain"], rec["split"], feats, np.array(rec["tokens"]))
             if u.duration != rec["duration"]:
                 raise ValueError(f"corpus at {path}: duration mismatch for {rec['id']}")
+            if u.duration == 0:
+                raise ValueError(f"corpus at {path}: utterance {rec['id']} has 0 frames")
+            if any(t not in range(FIRST_TOKEN_ID, meta["vocab_size"]) for t in rec["tokens"]):
+                raise ValueError(f"corpus at {path}: utterance {rec['id']} has token ids that are "
+                                 f"not integers in [{FIRST_TOKEN_ID}, {meta['vocab_size']}): "
+                                 f"{rec['tokens']}")
             splits.setdefault(rec["split"], []).append(u)
         return Corpus(meta["domain"], meta["vocab_size"], meta["feat_dim"], splits, meta["spec"])
 

@@ -197,14 +197,14 @@ def greedy_decode(model, features):
     """Greedy attention decoding of a single utterance.
 
     ``model`` must expose ``forward_encoder(features, lens)`` returning
-    (enc, enc_lens, ctc_logprobs) and ``forward_decoder(enc, enc_lens,
-    tokens_in)`` returning logits. Stops at the end sentinel; if the cap
-    of ``2 * enc_len + 10`` tokens is hit first the hypothesis is flagged
+    (enc, enc_lens) and ``forward_decoder(enc, enc_lens, tokens_in)``
+    returning logits. Stops at the end sentinel; if the cap of
+    ``2 * enc_len + 10`` tokens is hit first the hypothesis is flagged
     truncated.
     """
     feats = np.asarray(features, dtype=np.float64)
     with no_grad():
-        enc, enc_lens, _ = model.forward_encoder(feats[None], np.array([feats.shape[0]]))
+        enc, enc_lens = model.forward_encoder(feats[None], np.array([feats.shape[0]]))
         prefix = [SOS_ID]
         for _ in range(int(enc_lens[0]) * 2 + 10):
             logits = model.forward_decoder(enc, enc_lens, np.array([prefix]))

@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter dicts."""
+"""Adam optimizer over one flat array per parameter set."""
 
 from __future__ import annotations
 
@@ -10,32 +10,50 @@ EPS = 1e-8
 
 
 class Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) over a dict of named parameters.
+
+    Construction packs every parameter's ``data`` and ``grad``, in dict
+    order, into one flat ``data`` and one flat ``grad`` array, and rebinds
+    each ``Tensor.data`` and ``Tensor.grad`` to a view of its slice, with
+    values unchanged. Whatever writes a parameter in place (``p.data[...] =``,
+    ``grad +=``, ``zero_grad``) writes the flat arrays, so ``step`` checks,
+    updates and clears the whole set at once. ``m`` and ``v`` are flat too.
+    A parameter belongs to one optimizer: a second ``Adam`` over it would
+    rebind it again, away from the first one's arrays.
+    """
+
     def __init__(self, params, lr=1e-3):
         self.params = dict(params)
         self.lr = float(lr)
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        self.data = np.empty(sum(p.data.size for p in self.params.values()))
+        self.grad = np.empty_like(self.data)
+        start = 0
+        for p in self.params.values():
+            part = slice(start, start + p.data.size)
+            self.data[part] = p.data.ravel()
+            self.grad[part] = p.grad.ravel()
+            p.data, p.grad = self.data[part].reshape(p.shape), self.grad[part].reshape(p.shape)
+            start = part.stop
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self):
         """Apply one update from accumulated grads, then clear them; a non-finite
         gradient raises ``FloatingPointError`` before any state changes."""
-        for n, p in self.params.items():
-            if not np.isfinite(p.grad).all():
-                raise FloatingPointError(f"Adam.step: non-finite gradient for {n}")
+        if not np.isfinite(self.grad).all():
+            bad = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise FloatingPointError(f"Adam.step: non-finite gradient for {bad}")
         self.t += 1
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
-        for n, p in self.params.items():
-            g = p.grad
-            m = self.m[n]
-            v = self.v[n]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
-            p.grad[...] = 0.0
+        g, m, v = self.grad, self.m, self.v
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        self.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
+        g[...] = 0.0
 
 
 def zero_all(*param_dicts):

@@ -455,9 +455,7 @@ class _ConformerCore:
         x, enc_lens, pad = self._front_end(features, lens)
         for blk in self.enc_blocks:
             x = blk.forward(x, pad, sel)
-        enc = self.enc_final(x)
-        ctc_lp = T.log_softmax(T.linear(enc, self.ctc_w, self.ctc_b), axis=-1)
-        return enc, enc_lens, pad, ctc_lp
+        return self.enc_final(x), enc_lens, pad
 
     def _decode(self, enc, enc_pad, tokens_in, sel):
         d = self.space.model_dim
@@ -468,7 +466,8 @@ class _ConformerCore:
         return T.linear(self.dec_final(x), self.out_w, self.out_b)
 
     def _forward(self, features, lens, tokens_in, sel):
-        enc, enc_lens, pad, ctc_lp = self._encode(features, lens, sel)
+        enc, enc_lens, pad = self._encode(features, lens, sel)
+        ctc_lp = T.log_softmax(T.linear(enc, self.ctc_w, self.ctc_b), axis=-1)
         logits = self._decode(enc, pad, tokens_in, sel)
         return ForwardOut(enc=enc, enc_lens=enc_lens, ctc_logprobs=ctc_lp, dec_logits=logits)
 
@@ -563,8 +562,8 @@ class DerivedModel(_ConformerCore):
         return self._hybrid_loss(self.forward(batch), batch)
 
     def forward_encoder(self, features, lens):
-        enc, enc_lens, _, ctc_lp = self._encode(features, lens, self.arch)
-        return enc, enc_lens, ctc_lp
+        enc, enc_lens, _ = self._encode(features, lens, self.arch)
+        return enc, enc_lens
 
     def forward_decoder(self, enc, enc_lens, tokens_in):
         pad = self._pad_mask(enc_lens, enc.shape[1])

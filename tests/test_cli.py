@@ -402,7 +402,7 @@ class _EchoModel:
 
     def forward_encoder(self, features, lens):
         from confadapt.tensor import Tensor
-        return Tensor(features), lens, None
+        return Tensor(features), lens
 
     def forward_decoder(self, enc, enc_lens, tokens_in):
         import numpy as np

@@ -1,5 +1,6 @@
 """Synthetic corpus generation, determinism, serialization, median split."""
 
+import json
 import math
 import re
 
@@ -17,7 +18,7 @@ from confadapt.data import (
     make_batch,
     median_split,
 )
-from confadapt.losses import BLANK_ID, FIRST_TOKEN_ID
+from confadapt.losses import BLANK_ID, EOS_ID, FIRST_TOKEN_ID, SOS_ID
 
 
 COUNTS = {"train": 30, "heldout": 6, "dev": 6, "test": 10}
@@ -208,6 +209,28 @@ class TestSerialization:
         _write_features(path, u.features[:, :5])
         with pytest.raises(ValueError, match=path.name):
             Corpus.load(tmp_path / "corpus")
+
+    @pytest.mark.parametrize("bad", ["blank", "sos", "eos", "vocab_size", "fraction",
+                                     "no frames"])
+    def test_untrainable_utterance_refused_naming_path_and_id(self, tmp_path, bad):
+        c = generate(small_spec(), {"train": 2})
+        root = tmp_path / "corpus"
+        c.save(root)
+        u = c.split("train")[1]
+        manifest = root / "manifest.jsonl"
+        recs = [json.loads(line) for line in manifest.read_text().splitlines()]
+        rec = next(r for r in recs if r["id"] == u.uid)
+        if bad == "no frames":
+            _write_features(root / "feats" / f"{u.uid}.f64", u.features[:0])
+            rec["duration"] = 0
+        else:
+            ids = {"blank": BLANK_ID, "sos": SOS_ID, "eos": EOS_ID, "vocab_size": c.vocab_size,
+                   "fraction": FIRST_TOKEN_ID + 0.5}
+            rec["tokens"][-1] = ids[bad]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(ValueError, match=f"corpus at {re.escape(str(root))}: "
+                                             f"utterance {u.uid} has"):
+            Corpus.load(root)
 
 
 def _utt(uid, dur):

@@ -432,7 +432,7 @@ class ScriptedDecoder:
     def forward_encoder(self, features, lens):
         enc = Tensor(features) + self.bias[:features.shape[-1]]
         self.outputs.append(enc)
-        return enc, np.asarray(lens), None
+        return enc, np.asarray(lens)
 
     def forward_decoder(self, enc, enc_lens, tokens_in):
         prefix = np.asarray(tokens_in)

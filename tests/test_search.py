@@ -368,8 +368,7 @@ def _state(task, logits, ow, ol, rng):
     return (
         {n: p.data.tobytes() for n, p in task.named_parameters().items()},
         {k: v.data.tobytes() for k, v in logits.groups.items()},
-        [({n: a.tobytes() for n, a in opt.m.items()},
-          {n: a.tobytes() for n, a in opt.v.items()}, opt.t) for opt in (ow, ol)],
+        [(opt.m.tobytes(), opt.v.tobytes(), opt.t) for opt in (ow, ol)],
         rng.bit_generator.state,
     )
 

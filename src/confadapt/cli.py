@@ -10,15 +10,17 @@ Configuration is one declarative JSON file with explicit schema
 versioning, read by one rule: ``RunConfig`` and the dataclasses its
 fields name are the schema, each field's annotation is the JSON type it
 takes (a bool is not a number), and each class's constructor checks
-ranges. ``--set path=value`` overrides scalar fields only (dotted path,
-list indices allowed, e.g. ``--set stages.0.epochs=3``); the path is
-looked up in the same annotations, so it may name a field the file
-leaves at its default.
+ranges. ``--set path=value`` writes one JSON scalar at a dotted path
+(list indices allowed, e.g. ``--set stages.0.epochs=3``) as if the file
+held the value there; the reader checks it like any value in the file,
+so the path may name a field the file leaves at its default. Scalars
+only: an object or a list value is refused.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing checkpoint,
 1 other failures. Errors also emit one machine-parsable JSON record on
-stderr. An invalid configuration exits 2 before any stage runs: an
-unknown, missing or unread key, a value of the wrong type or range, a
+stderr. An invalid configuration exits 2 before any stage runs: a file
+that is not readable JSON, an unknown, missing or unread key, a value
+of the wrong type or range (an odd ``space.model_dim`` included), a
 ``--set`` path that names no field, a space or split that the corpora
 do not have, or a recipe that ``pipeline.check_recipe`` refuses. The
 record's ``field`` names the value: ``config.space.model_dim``, a field
@@ -198,22 +200,9 @@ def _object(cls, d, path, keys):
         raise ConfigError(at, str(exc)) from exc
 
 
-def _field_hint(hint, key):
-    """The annotation of ``key`` within a value annotated ``hint``; None
-    if the schema has no such field. A list takes an index, a map any key."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return next(filter(None, (_field_hint(arm, key) for arm in args)), None)
-    if is_dataclass(hint):
-        return get_type_hints(hint).get(key)
-    if origin in (list, tuple) and key.isdigit():
-        return args[0]
-    return args[1] if origin is dict else None
-
-
 def _apply_override(raw, spec_str):
-    """Set the scalar field that a dotted path names in the schema, also
-    one the file leaves at its default; a list element must exist."""
+    """Write a JSON scalar into ``raw`` at a dotted path, as if the file
+    held it there; missing objects are created, a list element must exist."""
     if "=" not in spec_str:
         raise ConfigError(spec_str, "--set needs path=value")
     path, value = spec_str.split("=", 1)
@@ -221,31 +210,23 @@ def _apply_override(raw, spec_str):
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
+    if isinstance(parsed, (dict, list)):
+        raise ConfigError(path, "--set takes a scalar value")
     *parents, leaf = path.split(".")
-    node, hint = raw, RunConfig
+    node = raw
     try:  # a refused path leaves ``raw`` half edited, and the config is not read
         for key in parents:
-            hint = _field_hint(hint, key)
             node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
-        hint = _field_hint(hint, leaf)
         node[int(leaf) if isinstance(node, list) else leaf] = parsed
     except (IndexError, TypeError, ValueError, AttributeError):
-        hint = None
-    if hint is None:
-        raise ConfigError(path, "--set names no such field")
-    arms = get_args(hint) if get_origin(hint) is UnionType else (hint,)
-    if not any(a in _SCALARS and a is not NoneType for a in arms):
-        raise ConfigError(path, "--set: not a scalar field")
+        raise ConfigError(path, "--set names no such field") from None
 
 
 def load_config(path, overrides=()):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("config", f"file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"not valid JSON: {exc}") from exc
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # missing, a directory, undecodable bytes, bad JSON
+        raise ConfigError("config", f"not a readable JSON file: {exc}") from exc
     for o in overrides:
         _apply_override(raw, o)
     return _read(raw, RunConfig, "config")
@@ -295,9 +276,10 @@ def _emit(report, out_dir, stem):
 def cmd_gen_data(cfg, _args):
     if cfg.data is None or cfg.data.source is None or cfg.data.target is None:
         raise ConfigError("config.data", "gen-data needs config.data.source and .target")
-    for dom in CORPORA:
-        c = getattr(cfg.data, dom)
-        corpus = generate(c.spec, c.counts)
+    # both corpora are generated before either is saved, so a failure writes nothing
+    corpora = {dom: generate(c.spec, c.counts)
+               for dom, c in zip(CORPORA, (cfg.data.source, cfg.data.target))}
+    for dom, corpus in corpora.items():
         out = cfg.data.dir / dom
         corpus.save(out)
         print(f"wrote {len(corpus)} utterances to {out}")

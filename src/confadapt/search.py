@@ -31,7 +31,7 @@ class ArchLogits:
     """One free logit vector per searchable group, plus the size-penalty factor."""
 
     def __init__(self, space, eta=0.0):
-        if eta < 0:
+        if not eta >= 0:
             raise ValueError(f"ArchLogits: penalty factor must be nonnegative, got {eta}")
         self.space = space
         self.eta = float(eta)
@@ -51,7 +51,7 @@ def sample_weights(logits, rng=None, temperature=1.0):
     ``rng=None`` is the deterministic hook: zero noise, which reduces to
     a plain tempered softmax of the logits.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"sample_weights: temperature must be positive, got {temperature}")
     out = {}
     for key, vec in logits.groups.items():

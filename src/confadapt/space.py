@@ -55,6 +55,8 @@ class ArchSpace:
     def __post_init__(self):
         if self.model_dim <= 0 or self.feat_dim <= 0:
             raise ValueError("ArchSpace: model_dim and feat_dim must be positive")
+        if self.model_dim % 2 != 0:
+            raise ValueError("ArchSpace: model_dim must be even (sinusoidal positions)")
         if self.encoder_blocks < 1 or self.decoder_blocks < 1:
             raise ValueError("ArchSpace: need at least one encoder and one decoder block")
         if self.vocab_size < 4:

@@ -393,8 +393,6 @@ class _ConformerCore:
     sized to ``arch``, values copied from ``weights`` or drawn from ``seed``."""
 
     def __init__(self, space, arch, seed, weights):
-        if space.model_dim % 2 != 0:
-            raise ValueError("model_dim must be even (sinusoidal positions)")
         self.space = space
         build = _Builder(np.random.default_rng(seed), weights)
         d, f, v = space.model_dim, space.feat_dim, space.vocab_size
@@ -497,7 +495,7 @@ def _check_weights(space, weights, tol=1e-6):
         if lam.shape != (len(opts),):
             raise ShapeError(f"mixing weights for {key}: shape {lam.shape} != ({len(opts)},)")
         s = float(lam.data.sum())
-        if abs(s - 1.0) > tol or (lam.data < -tol).any():
+        if not abs(s - 1.0) <= tol or (lam.data < -tol).any():
             raise ValueError(
                 f"mixing weights for {key} must be nonnegative and sum to 1 "
                 f"within {tol}, got sum {s}"

@@ -91,6 +91,14 @@ class TestGenData:
             corpus = Corpus.load(d)
             assert len(corpus.split("train")) == cfg["data"][dom]["counts"]["train"]
 
+    def test_failed_generation_writes_no_corpus(self, tmp_path, capsys):
+        # the target spec cannot fit its tokens into 2 frames
+        cfg = base_config(tmp_path)
+        cfg["data"]["target"]["spec"]["mean_frames"] = 2.0
+        assert main(["gen-data", "-c", write_config(tmp_path, cfg)]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "RuntimeError"
+        assert not (tmp_path / "data").exists()
+
 
 class TestRun:
     def test_report_contains_both_arms(self, workspace):
@@ -125,6 +133,14 @@ class TestEvaluate:
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["field"] == "--split"
         assert not (tmp_path / "run" / "eval_nosplit.json").exists()
+
+    def test_supernet_checkpoint_exit_1(self, workspace, capsys):
+        tmp_path, _, cfg_path = workspace
+        code = main(["evaluate", "-c", cfg_path, "--checkpoint",
+                     str(tmp_path / "run" / "sn_tgt.ckpt"), "--name", "sn"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 1
+        assert not (tmp_path / "run" / "eval_sn.json").exists()
 
     def test_missing_checkpoint_exit_3(self, workspace, capsys):
         _, _, cfg_path = workspace
@@ -291,18 +307,46 @@ class TestConfigValidation:
         demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
         cfg = load_config(demo, ["space.split_decoder_attention=true", "sweep.eval_split=dev"])
         assert cfg.space.split_decoder_attention and cfg.sweep.eval_split == "dev"
-        for bad in ("space.no_such_field=1", "sweep.eval_split.x=1", "stages.0.epochs.0=1"):
-            with pytest.raises(ConfigError, match="--set names no such field"):
+        # the reader refuses what it would refuse in the file; a path the
+        # file's values cannot hold names no field
+        for bad, field, message in (
+                ("space.no_such_field=1", "config.space.no_such_field", "config.space reads only"),
+                ("sweep.eval_split.x=1", "config.sweep.eval_split", "expected str"),
+                ("stages.0.epochs.0=1", "stages.0.epochs.0", "--set names no such field"),
+                ("seed.x=1", "seed.x", "--set names no such field")):
+            with pytest.raises(ConfigError, match=message) as err:
                 load_config(demo, [bad])
+            assert err.value.field == field
 
     def test_set_rejects_non_scalar(self, tmp_path, capsys):
-        cfg = base_config(tmp_path)
-        code = main(["run", "-c", write_config(tmp_path, cfg), "--set", "data=1"])
-        assert code == 2
-        assert "scalar" in json.loads(capsys.readouterr().err.strip())["message"]
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["run", "-c", path, "--set", "data=1"]) == 2
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["field"] == "config.data" and "expected an object, got 1" in rec["message"]
+        assert main(["run", "-c", path, "--set", "space={}"]) == 2
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["field"] == "space" and rec["message"].endswith("--set takes a scalar value")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "-c", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_command_without_data_exits_2(self, tmp_path, capsys, command):
+        cfg = base_config(tmp_path)
+        del cfg["data"]
+        assert main([command, "-c", write_config(tmp_path, cfg)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "config.data"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable bytes", "invalid JSON"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}" if kind == "undecodable bytes" else b"{seed: 1}")
+        assert main(["run", "-c", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "config"
 
     @pytest.mark.parametrize("command, edit, overrides, field", [
         ("run", {}, ["stages.9.epochs=3"], "stages.9.epochs"),
@@ -373,6 +417,17 @@ class TestConfigValidation:
         ("run", {"data.source.spec.seg_jitter": 1.5}, [], "config.data.source.spec"),
         ("run", {"data.source.spec.seg_jitter": -0.5}, [], "config.data.source.spec"),
         ("run", {"data.target.spec.channel_shift": float("inf")}, [], "config.data.target.spec"),
+        # a --set value is read as if the file held it: ArchSpace refuses a
+        # space no model can have (odd model_dim), the reader a key it lacks
+        ("run", {}, ["space.model_dim=33"], "config.space"),
+        ("run", {}, ["space.no_such_field=1"], "config.space.no_such_field"),
+        ("run", {}, ["seed"], "seed"),
+        ("run", {"systems": [{"name": "s"}]}, [], "config.systems.0.checkpoint"),
+        # a section or corpus the command needs
+        ("run", {}, ["data.dir=no/such/data"], "config.data.source"),
+        ("gen-data", {"data.target": None}, [], "config.data"),
+        ("run", {"space": None}, [], "config.stages"),
+        ("sweep", {"sweep": None}, [], "config.sweep"),
     ])
     def test_invalid_config_exits_2_before_any_stage(self, workspace, no_dev_data, tmp_path,
                                                      capsys, command, edit, overrides, field):
@@ -434,6 +489,11 @@ class TestStratifiedEval:
         rec = stratified_eval(_EchoModel(), self._corpus(), "test")
         assert rec["overall"] == 0.0
         assert rec["shorter"] == 0.0 and rec["longer"] == 0.0
+
+    def test_missing_split_rejected(self):
+        from confadapt.report import stratified_eval
+        with pytest.raises(ValueError, match="no 'dev' split"):
+            stratified_eval(_EchoModel(), self._corpus(), "dev")
 
     def test_halves_partition_test_set(self):
         from confadapt.report import stratified_eval

@@ -153,6 +153,7 @@ class TestSpecValidation:
         ("tempo", math.inf), ("noise_std", -1.0), ("noise_std", math.nan),
         ("seg_jitter", 1.5), ("seg_jitter", -0.5), ("channel_shift", math.inf),
         ("channel_scale", (1.0,) * 5 + (math.nan,)),
+        ("feat_dim", 0), ("vocab_tokens", 0), ("tokens_min", 5),
     ])
     def test_value_it_cannot_generate_from_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -209,6 +210,29 @@ class TestSerialization:
         _write_features(path, u.features[:, :5])
         with pytest.raises(ValueError, match=path.name):
             Corpus.load(tmp_path / "corpus")
+
+    def test_feature_file_version_checked(self, tmp_path):
+        c = generate(small_spec(), {"train": 1})
+        c.save(tmp_path / "corpus")
+        feats = next((tmp_path / "corpus" / "feats").iterdir())
+        blob = bytearray(feats.read_bytes())
+        blob[4] += 1  # the version field follows the 4-byte magic
+        feats.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"{feats.name}: unsupported feature version"):
+            Corpus.load(tmp_path / "corpus")
+
+    def test_manifest_duration_mismatch_names_path_and_id(self, tmp_path):
+        c = generate(small_spec(), {"train": 2})
+        root = tmp_path / "corpus"
+        c.save(root)
+        u = c.split("train")[1]
+        manifest = root / "manifest.jsonl"
+        recs = [json.loads(line) for line in manifest.read_text().splitlines()]
+        next(r for r in recs if r["id"] == u.uid)["duration"] += 1
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(ValueError, match=f"corpus at {re.escape(str(root))}: "
+                                             f"duration mismatch for {u.uid}"):
+            Corpus.load(root)
 
     @pytest.mark.parametrize("bad", ["blank", "sos", "eos", "vocab_size", "fraction",
                                      "no frames"])
@@ -284,6 +308,10 @@ class TestBatching:
         assert b.tokens_in.shape == (2, 3)
         assert b.tokens_in[0, 0] == 1  # sos
         assert b.size == 2
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            make_batch([])
 
     def test_iter_batches_deterministic_with_seed(self):
         utts = [_utt(str(i), 4 + i) for i in range(7)]

@@ -415,6 +415,11 @@ class TestHybrid:
         assert hybrid_loss(Tensor(2.0), Tensor(1.0)).item() > base
         assert hybrid_loss(Tensor(1.0), Tensor(2.0)).item() > base
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            hybrid_batch_loss(Tensor(np.zeros((0, 3, 6))), np.zeros(0, dtype=int),
+                              Tensor(np.zeros((0, 1, 6))), [])
+
 
 class ScriptedDecoder:
     """Stub with ``forward_encoder``/``forward_decoder`` that emits ``script``

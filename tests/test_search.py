@@ -93,8 +93,9 @@ class TestSampleWeights:
         assert means[2] > 0.95
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError, match="temperature"):
-            sample_weights(toy_logits(), rng=None, temperature=0.0)
+        for t in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature"):
+                sample_weights(toy_logits(), rng=None, temperature=t)
 
     def test_gradient_flows_to_logits(self):
         logits = toy_logits()
@@ -164,8 +165,9 @@ class TestPenalizedLoss:
         np.testing.assert_allclose(out.item(), eta * np.mean(grid), rtol=1e-12)
 
     def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ArchLogits(TOY_SPACE, eta=-0.1)
+        for eta in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ArchLogits(TOY_SPACE, eta=eta)
 
     def test_penalty_gradient_sign(self):
         # uniform weights: the cheaper candidate must be pushed up (negative
@@ -221,6 +223,12 @@ class TestExtract:
         for vec in logits.groups.values():
             vec.data += 17.5
         assert extract(logits).choices == before.choices
+
+    def test_non_finite_logits_rejected(self):
+        logits = toy_logits()
+        logits.groups[("enc", 0, "ck")].data[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite logits in group"):
+            extract(logits)
 
 
 class TestTempSchedule:

@@ -417,6 +417,21 @@ class TestArchSpace:
         # a checkpoint's JSON lists load as tuples
         assert replace(SPACE, ff_choices=[8, 16]).ff_choices == (8, 16)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"ff_choices": ()}, "ff_choices must be nonempty"),
+        ({"kernel_choices": (3, 4)}, "kernel_choices entries must be odd"),
+        ({"model_dim": 0}, "must be positive"),
+        ({"feat_dim": -1}, "must be positive"),
+        ({"encoder_blocks": 0}, "at least one encoder"),
+        ({"decoder_blocks": 0}, "at least one encoder and one decoder"),
+        ({"vocab_size": 3}, "vocab must cover"),
+        # the sinusoidal positions fill even and odd channels in pairs
+        ({"model_dim": 33}, "model_dim must be even"),
+    ])
+    def test_space_no_model_can_have_refused(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(SPACE, **change)
+
 
 class _SplitSpace:
     """Re-runs the inherited tests on a supernet whose decoder blocks search
@@ -559,10 +574,25 @@ class TestTapeSize:
 
 class TestValidation:
     def test_unnormalized_weights_rejected(self, net, batch):
+        for bad in ([0.5, 0.6], [np.nan, np.nan]):
+            w = uniform_weights(SPACE)
+            w[("enc", 0, "fd")] = Tensor(np.array(bad))
+            with pytest.raises(ValueError, match="sum to 1"):
+                net.mixed_forward(batch, w)
+
+    def test_weights_of_every_group_in_its_shape_required(self, net, batch):
         w = uniform_weights(SPACE)
-        w[("enc", 0, "fd")] = Tensor(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError, match="sum to 1"):
+        del w[("enc", 0, "fd")]
+        with pytest.raises(ValueError, match="missing group"):
             net.mixed_forward(batch, w)
+        w = uniform_weights(SPACE)
+        w[("enc", 0, "fd")] = Tensor(np.full(3, 1 / 3))
+        with pytest.raises(ShapeError, match=r"shape \(3,\) != \(2,\)"):
+            net.mixed_forward(batch, w)
+
+    def test_unknown_materialize_init_rejected(self, net):
+        with pytest.raises(ValueError, match="'inherit' or 'fresh'"):
+            net.materialize(DerivedArch.minimal(SPACE), init="copy")
 
     def test_length_mask_mismatch_rejected(self, net, batch):
         bad = Batch(batch.features, batch.feat_lens + 100, batch.tokens_in, batch.token_seqs)
@@ -572,6 +602,8 @@ class TestValidation:
     def test_encoder_entry_checks_features_and_lengths(self, net, batch):
         # greedy decoding enters through forward_encoder, not the full forward
         model = net.materialize(DerivedArch.minimal(SPACE))
+        with pytest.raises(ShapeError, match=r"\(B, T, F\)"):
+            model.forward_encoder(batch.features[0], batch.feat_lens)
         with pytest.raises(ShapeError, match="feature dim"):
             model.forward_encoder(batch.features[:, :, :5], batch.feat_lens)
         with pytest.raises(ShapeError, match="lengths"):

@@ -71,6 +71,40 @@ class TestForwardValues:
             _ = Tensor(np.zeros((3, 2))) + Tensor(np.zeros((3,)))
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# each op's refusal of an input it cannot take: (call, error, message)
+REFUSED = {
+    "item of a non-scalar": (lambda: _zeros(2).item(), ValueError, "item"),
+    "tensor/tensor division": (lambda: _zeros(2) / _zeros(2), TypeError, "division"),
+    "backward of a non-Tensor": (lambda: backward(1.0), TypeError, "expects a Tensor"),
+    "advanced slice key": (lambda: _zeros(3)[[0, 1]], TypeError, "basic indexing"),
+    "transpose axes": (lambda: T.transpose(_zeros(2, 3), (0, 0)), ShapeError, "transpose"),
+    "empty concat": (lambda: T.concat([]), ValueError, "at least one"),
+    "mismatched concat": (lambda: T.concat([_zeros(2, 3), _zeros(2, 4)]), ShapeError,
+                          "concat"),
+    "odd glu": (lambda: T.glu(_zeros(2, 3)), ShapeError, "odd extent"),
+    "layer_norm gain": (lambda: T.layer_norm(_zeros(2, 4), _zeros(3), _zeros(4)), ShapeError,
+                        "layer_norm"),
+    "conv rank": (lambda: T.depthwise_conv1d(_zeros(4, 2), _zeros(3, 2), _zeros(2)),
+                  ShapeError, r"input \(B,T,C\)"),
+    "conv width": (lambda: T.depthwise_conv1d(_zeros(1, 4, 2), _zeros(3, 5), _zeros(5)),
+                   ShapeError, "do not conform"),
+    "conv bias": (lambda: T.depthwise_conv1d(_zeros(1, 4, 2), _zeros(3, 2), _zeros(3)),
+                  ShapeError, "bias shape"),
+    "embedding table rank": (lambda: T.embedding(_zeros(3), np.array([0])), ShapeError,
+                             "2-D"),
+    "embedding id dtype": (lambda: T.embedding(_zeros(3, 2), np.array([0.0])), TypeError,
+                           "integers"),
+    "embedding id range": (lambda: T.embedding(_zeros(3, 2), np.array([3])), ValueError,
+                           "out of range"),
+    "linear shapes": (lambda: T.linear(_zeros(2, 4), _zeros(3, 5), _zeros(5)), ShapeError,
+                      "linear: shapes"),
+}
+
+
 class TestErrors:
     def test_matmul_shape_error_names_op_and_shapes(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(4, 5\)"):
@@ -108,6 +142,12 @@ class TestErrors:
     def test_backward_off_tape_raises(self):
         with pytest.raises(RuntimeError, match="tape"):
             backward(Tensor(1.0))
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_refused_input_raises(self, case):
+        call, error, message = REFUSED[case]
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestBackwardBasics:

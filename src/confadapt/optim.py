@@ -48,11 +48,21 @@ class Adam:
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
         g, m, v = self.grad, self.m, self.v
+        # two scratch arrays: data -= lr * (m / b1c) / (sqrt(v / b2c) + EPS)
+        a = np.multiply(1.0 - BETA1, g)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += a
+        np.multiply(1.0 - BETA2, g, out=a)
+        a *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        self.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
+        v += a
+        np.divide(m, b1c, out=a)
+        a *= self.lr
+        b = np.divide(v, b2c)
+        b = np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        self.data -= a
         g[...] = 0.0
 
 

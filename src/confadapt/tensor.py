@@ -81,10 +81,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ValueError(f"item: tensor of shape {self.data.shape} is not scalar")
@@ -107,9 +103,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -138,13 +131,9 @@ class Tensor:
         return tensor_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         return transpose(self, axes)
 
 
@@ -434,14 +423,26 @@ def sigmoid(x):
     return _from_op(data, (x,), bw)
 
 
+def _logistic(z):
+    """``1 / (1 + exp(-z))`` built in one new array."""
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def swish(x):
     x = as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _logistic(x.data)
     data = x.data * s
 
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g * (s + data * (1.0 - s)))
+            t = np.subtract(1.0, s)  # g * (s + data * (1 - s))
+            t *= data
+            t += s
+            t *= g
+            _accumulate(x, t)
 
     return _from_op(data, (x,), bw)
 
@@ -454,14 +455,19 @@ def glu(x):
         raise ShapeError(f"glu: last axis of shape {x.data.shape} has odd extent {n}")
     h = n // 2
     a = x.data[..., :h]
-    s = 1.0 / (1.0 + np.exp(-x.data[..., h:]))
+    s = _logistic(x.data[..., h:])
     data = a * s
 
     def bw(g):
         if x.requires_grad:
             gx = _grad_buffer(x)
-            gx[..., :h] += g * s
-            gx[..., h:] += g * a * s * (1.0 - s)
+            t = g * s
+            gx[..., :h] += t
+            u = g * a  # g * a * s * (1 - s)
+            u *= s
+            np.subtract(1.0, s, out=t)
+            u *= t
+            gx[..., h:] += u
 
     return _from_op(data, (x,), bw)
 
@@ -505,6 +511,11 @@ def logsumexp(x, axis=-1):
     return _from_op(data, (x,), bw)
 
 
+def _row_mean(a):
+    """Mean over the last axis, keeping it."""
+    return a.sum(axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x, gain, bias, eps=1e-6):
     """Normalize the last axis to zero mean, unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -514,25 +525,30 @@ def layer_norm(x, gain, bias, eps=1e-6):
             f"layer_norm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {(d,)}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat = x.data - _row_mean(x.data)  # xc, normalized in place below
+    data = xhat * xhat
+    var = _row_mean(data)
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def bw(g):
+        t = np.multiply(g, xhat)
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accumulate(gain, t.reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # (dxh - mean(dxh) - xhat * mean(dxh * xhat)) * inv
             dxh = g * gain.data
-            _accumulate(x, (
-                dxh
-                - dxh.mean(axis=-1, keepdims=True)
-                - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-            ) * inv)
+            np.multiply(dxh, xhat, out=t)
+            np.multiply(xhat, _row_mean(t), out=t)
+            dxh -= _row_mean(dxh)
+            dxh -= t
+            dxh *= inv
+            _accumulate(x, dxh)
 
     return _from_op(data, (x, gain, bias), bw)
 
@@ -569,19 +585,21 @@ def depthwise_conv1d(x, kernel, bias):
     xp = np.zeros((b, t + 2 * p, c))
     xp[:, p:p + t, :] = x.data
     data = np.zeros((b, t, c))
+    tap = np.empty((b, t, c))
     for j in range(k):
-        data += xp[:, j:j + t, :] * kernel.data[j]
+        data += np.multiply(xp[:, j:j + t, :], kernel.data[j], out=tap)
     data += bias.data
 
     def bw(g):
+        tap = np.empty((b, t, c))
         if kernel.requires_grad:
             gk = _grad_buffer(kernel)
             for j in range(k):
-                gk[j] += (xp[:, j:j + t, :] * g).sum(axis=(0, 1))
+                gk[j] += np.multiply(xp[:, j:j + t, :], g, out=tap).sum(axis=(0, 1))
         if x.requires_grad:
             gp = np.zeros_like(xp)
             for j in range(k):
-                gp[:, j:j + t, :] += g * kernel.data[j]
+                gp[:, j:j + t, :] += np.multiply(g, kernel.data[j], out=tap)
             _accumulate(x, gp[:, p:p + t, :])
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 1)))
@@ -618,7 +636,8 @@ def linear(x, w, b):
     n_in, n_out = w.data.shape
     if b.data.shape != (n_out,):
         raise ShapeError(f"linear: bias shape {b.data.shape} != {(n_out,)}")
-    data = x.data @ w.data + b.data
+    data = x.data @ w.data
+    data += b.data
 
     def bw(g):
         if b.requires_grad:
@@ -649,12 +668,14 @@ def attention(q, k, v, mask, scale):
     qt = np.transpose(q.data, (0, 2, 1, 3))
     kt = np.transpose(k.data, (0, 2, 3, 1))
     vt = np.transpose(v.data, (0, 2, 1, 3))
-    scores = (qt @ kt) * scale
+    p = qt @ kt  # the scores, turned into probabilities in place
+    p *= scale
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
-        scores = np.where(mask, NEG_FILL, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), p.shape)
+        np.copyto(p, NEG_FILL, where=mask)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     data = np.transpose(p @ vt, (0, 2, 1, 3))
 
     def bw(g):
@@ -662,11 +683,12 @@ def attention(q, k, v, mask, scale):
         # fix the layout of the upstream gradient
         dc = np.ascontiguousarray(np.transpose(g, (0, 2, 1, 3)))
         if q.requires_grad or k.requires_grad:
-            dp = dc @ np.swapaxes(vt, -1, -2)
-            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+            ds = dc @ np.swapaxes(vt, -1, -2)  # dP, turned into dS in place
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
             if mask is not None:
-                ds = np.where(mask, 0.0, ds)
-            ds = ds * scale
+                np.copyto(ds, 0.0, where=mask)
+            ds *= scale
             if q.requires_grad:
                 _accumulate(q, np.transpose(ds @ np.swapaxes(kt, -1, -2), (0, 2, 1, 3)))
             if k.requires_grad:

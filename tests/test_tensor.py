@@ -1,11 +1,13 @@
 """Tensor op semantics and gradient correctness against finite differences."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from confadapt import tensor as T
+from confadapt.losses import ctc_loss
 from confadapt.tensor import ShapeError, Tensor, backward, no_grad
 
 from util_grad import check_grads
@@ -61,6 +63,10 @@ class TestForwardValues:
         out = T.masked_fill(x, mask, -9.0)
         assert out.data[0, 0] == -9.0 and out.data[1, 2] == -9.0
         assert out.data[0, 1] == 1.0
+
+    def test_repr_names_shape_and_flag(self):
+        assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == (
+            "Tensor(shape=(2, 3), requires_grad=True)")
 
     def test_bias_broadcast_is_leading_only(self):
         x = Tensor(np.zeros((2, 4, 3)))
@@ -254,6 +260,21 @@ class TestGradChecks:
     def test_add_broadcast_bias(self):
         check_grads(lambda a, b: ((a + b) * (a + b)).sum(), [_rand(2, 3, 4), _rand(4)])
 
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    def test_short_operand_either_side(self, op):
+        # a (d,) operand combines with (..., d) from the left as from the right
+        short, long = _rand(4), _rand(2, 3, 4)
+        w = Tensor(_rand(2, 3, 4))
+        results = []
+        for flip in (False, True):
+            a, b = Tensor(short, requires_grad=True), Tensor(long, requires_grad=True)
+            out = op(b, a) if flip else op(a, b)
+            backward((out * w).sum())
+            results.append((out.data, a.grad, b.grad))
+        for left, right in zip(*results):
+            np.testing.assert_array_equal(left, right)
+        check_grads(lambda a, b: (op(a, b) * w).sum(), [short, long])
+
     def test_sub(self):
         check_grads(lambda a, b: ((a - b) * (a - b)).sum(), [_rand(5), _rand(5)])
 
@@ -368,3 +389,208 @@ class TestGradChecks:
 def _key_padding(lens, t_k):
     """(B, 1, 1, Tk) mask, True at the keys past each row's length."""
     return (np.arange(t_k)[None, :] >= lens[:, None])[:, None, None, :]
+
+
+# every differentiable op on operands it may only read: (call, operand shapes)
+_CAUSAL = np.triu(np.ones((4, 4), dtype=bool), k=1)
+READ_ONLY_CASES = {
+    "add": (lambda a, b: T.add(a, b), [(2, 3, 4), (4,)]),
+    "mul": (lambda a, b: T.mul(a, b), [(4,), (2, 3, 4)]),
+    "matmul": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 2)]),
+    "matmul batched": (lambda a, b: T.matmul(a, b), [(2, 2, 3, 4), (2, 2, 4, 2)]),
+    "tensor_slice": (lambda x: T.tensor_slice(x, (slice(1, None), slice(None, None, 2))),
+                     [(3, 6)]),
+    "reshape": (lambda x: T.reshape(x, (6, 2)), [(3, 4)]),
+    "transpose": (lambda x: T.transpose(x, (1, 0, 2)), [(2, 3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "tensor_sum": (lambda x: T.tensor_sum(x, axis=0), [(3, 4)]),
+    "tensor_mean": (lambda x: T.tensor_mean(x, axis=1), [(3, 4)]),
+    "sigmoid": (T.sigmoid, [(3, 4)]),
+    "swish": (T.swish, [(3, 4)]),
+    "glu": (T.glu, [(2, 3, 6)]),
+    "softmax": (T.softmax, [(3, 5)]),
+    "log_softmax": (T.log_softmax, [(3, 5)]),
+    "logsumexp": (T.logsumexp, [(4, 3)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 6), (6,), (6,)]),
+    "depthwise_conv1d": (T.depthwise_conv1d, [(2, 7, 3), (5, 3), (3,)]),
+    "embedding": (lambda t: T.embedding(t, np.array([[0, 2], [2, 1]])), [(4, 3)]),
+    "linear": (T.linear, [(2, 3, 4), (4, 2), (2,)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, None, 0.5),
+                  [(2, 3, 2, 4), (2, 5, 2, 4), (2, 5, 2, 3)]),
+    "attention masked": (lambda q, k, v: T.attention(q, k, v, _CAUSAL, 0.5),
+                         [(2, 4, 2, 3), (2, 4, 2, 3), (2, 4, 2, 3)]),
+    "masked_fill": (lambda x: T.masked_fill(x, _CAUSAL, 5.0), [(4, 4)]),
+    "ctc_loss": (lambda x: ctc_loss(x, [6, 4, 2], [[1, 2, 2], [3], []]), [(3, 6, 5)]),
+}
+
+
+def _recording_ops():
+    """Names of the ``tensor`` functions that record a gradient rule."""
+    return {name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and name != "_from_op" and "_from_op(" in inspect.getsource(fn)}
+
+
+class TestRulesOwnTheirWrites:
+    """A rule writes only into arrays it allocated: never into its incoming
+    gradient, an operand, the op's output or what its forward saved."""
+
+    def test_every_recording_op_has_a_case(self):
+        assert _recording_ops() <= {case.split()[0] for case in READ_ONLY_CASES}
+
+    @pytest.mark.parametrize("case", READ_ONLY_CASES)
+    def test_rule_leaves_its_inputs_and_saved_arrays_alone(self, case):
+        call, shapes = READ_ONLY_CASES[case]
+        operands = [Tensor(_rand(*shape), requires_grad=True) for shape in shapes]
+        for t in operands:
+            t.data.flags.writeable = False
+        out = call(*operands)
+        output = out.data.copy()
+        g = rng.normal(size=out.shape)
+        g.flags.writeable = False
+        grads = []
+        for _ in range(2):  # a rule that wrote into its saved arrays would differ the second time
+            for t in operands:
+                t.zero_grad()
+            out._backward(g)
+            grads.append([t.grad.copy() for t in operands])
+        assert out.data.tobytes() == output.tobytes()
+        for first, second in zip(*grads):
+            assert first.tobytes() == second.tobytes()
+        assert any(grad.any() for grad in grads[0])
+
+
+# the parent expressions of the ops rewritten to compute in place, kept as
+# oracles: each returns the forward value and the gradient of every operand
+# for an upstream gradient ``g``
+
+
+def _parent_linear(x, w, b, g):
+    n_in, n_out = w.shape
+    data = x @ w + b
+    return data, [g @ w.T, x.reshape(-1, n_in).T @ g.reshape(-1, n_out), g.sum(axis=(0, 1))]
+
+
+def _parent_swish(x, g):
+    s = 1.0 / (1.0 + np.exp(-x))
+    data = x * s
+    return data, [g * (s + data * (1.0 - s))]
+
+
+def _parent_glu(x, g):
+    h = x.shape[-1] // 2
+    a = x[..., :h]
+    s = 1.0 / (1.0 + np.exp(-x[..., h:]))
+    gx = np.zeros_like(x)
+    gx[..., :h] += g * s
+    gx[..., h:] += g * a * s * (1.0 - s)
+    return a * s, [gx]
+
+
+def _parent_layer_norm(x, gain, bias, g, eps=1e-6):
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    data = xhat * gain + bias
+    dxh = g * gain
+    gx = (
+        dxh
+        - dxh.mean(axis=-1, keepdims=True)
+        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
+    ) * inv
+    return data, [gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
+
+
+def _parent_depthwise_conv1d(x, kernel, bias, g):
+    k, c = kernel.shape
+    b, t, _ = x.shape
+    p = k // 2
+    xp = np.zeros((b, t + 2 * p, c))
+    xp[:, p:p + t, :] = x
+    data = np.zeros((b, t, c))
+    for j in range(k):
+        data += xp[:, j:j + t, :] * kernel[j]
+    data += bias
+    gk = np.zeros_like(kernel)
+    for j in range(k):
+        gk[j] += (xp[:, j:j + t, :] * g).sum(axis=(0, 1))
+    gp = np.zeros_like(xp)
+    for j in range(k):
+        gp[:, j:j + t, :] += g * kernel[j]
+    return data, [gp[:, p:p + t, :], gk, g.sum(axis=(0, 1))]
+
+
+def _parent_attention(q, k, v, g, mask, scale):
+    qt = np.transpose(q, (0, 2, 1, 3))
+    kt = np.transpose(k, (0, 2, 3, 1))
+    vt = np.transpose(v, (0, 2, 1, 3))
+    scores = (qt @ kt) * scale
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+        scores = np.where(mask, T.NEG_FILL, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = np.transpose(p @ vt, (0, 2, 1, 3))
+    dc = np.ascontiguousarray(np.transpose(g, (0, 2, 1, 3)))
+    dp = dc @ np.swapaxes(vt, -1, -2)
+    ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p
+    if mask is not None:
+        ds = np.where(mask, 0.0, ds)
+    ds = ds * scale
+    return data, [np.transpose(ds @ np.swapaxes(kt, -1, -2), (0, 2, 1, 3)),
+                  np.transpose(np.swapaxes(qt, -1, -2) @ ds, (0, 3, 1, 2)),
+                  np.transpose(np.swapaxes(p, -1, -2) @ dc, (0, 2, 1, 3))]
+
+
+def _masked_attention(b, t):
+    """Key padding on all rows but the first, plus a causal mask."""
+    lens = np.maximum(t - np.arange(b), 1)
+    return (_key_padding(lens, t) | np.triu(np.ones((t, t), dtype=bool), k=1)), 0.5
+
+
+# op name -> (op, parent oracle, operand shapes for a (B, T, D) activation)
+ORACLES = {
+    "linear": (T.linear, _parent_linear, lambda b, t, d: [(b, t, d), (d, 2 * d), (2 * d,)]),
+    "swish": (T.swish, _parent_swish, lambda b, t, d: [(b, t, d)]),
+    "glu": (T.glu, _parent_glu, lambda b, t, d: [(b, t, 2 * d)]),
+    "layer_norm": (T.layer_norm, _parent_layer_norm, lambda b, t, d: [(b, t, d), (d,), (d,)]),
+    "depthwise_conv1d": (T.depthwise_conv1d, _parent_depthwise_conv1d,
+                         lambda b, t, d: [(b, t, d), (5, d), (d,)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, None, 0.35),
+                  lambda q, k, v, g: _parent_attention(q, k, v, g, None, 0.35),
+                  lambda b, t, d: [(b, t, 4, d // 4)] * 3),
+}
+ORACLE_SHAPES = [(8, 60, 32), (8, 4, 32)]
+
+
+def _against_parent(op, parent, values, tol):
+    tensors = [Tensor(v, requires_grad=True) for v in values]
+    out = op(*tensors)
+    g = rng.normal(size=out.shape)
+    want, want_grads = parent(*values, g)
+    out._backward(g)
+    for got, expect in zip([out.data] + [t.grad for t in tensors], [want] + want_grads):
+        if tol is None:
+            np.testing.assert_array_equal(got, expect)
+        else:
+            np.testing.assert_allclose(got, expect, rtol=0.0, atol=tol)
+
+
+class TestAgainstParentExpressions:
+    """The in-place ops give the parent expressions' bits."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_matches_parent(self, name, shape):
+        op, parent, shapes = ORACLES[name]
+        values = [rng.normal(size=s) for s in shapes(*shape)]
+        _against_parent(op, parent, values, None)
+
+    def test_masked_attention_matches_parent(self):
+        mask, scale = _masked_attention(8, 60)
+        values = [rng.normal(size=(8, 60, 4, 8)) for _ in range(3)]
+        _against_parent(lambda q, k, v: T.attention(q, k, v, mask, scale),
+                        lambda q, k, v, g: _parent_attention(q, k, v, g, mask, scale),
+                        values, None)

@@ -216,10 +216,18 @@ def _apply_override(raw, spec_str):
     node = raw
     try:  # a refused path leaves ``raw`` half edited, and the config is not read
         for key in parents:
-            node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
-        node[int(leaf) if isinstance(node, list) else leaf] = parsed
-    except (IndexError, TypeError, ValueError, AttributeError):
+            node = node[_list_index(key)] if isinstance(node, list) else node.setdefault(key, {})
+        node[_list_index(leaf) if isinstance(node, list) else leaf] = parsed
+    except (IndexError, TypeError, AttributeError):
         raise ConfigError(path, "--set names no such field") from None
+
+
+def _list_index(key):
+    """A list element's index as a path spells it: ASCII decimal digits only,
+    so ``-1``, ``+0`` and ``0_0`` name no element."""
+    if not (key.isascii() and key.isdigit()):
+        raise IndexError(key)
+    return int(key)
 
 
 def load_config(path, overrides=()):

@@ -313,7 +313,10 @@ class TestConfigValidation:
                 ("space.no_such_field=1", "config.space.no_such_field", "config.space reads only"),
                 ("sweep.eval_split.x=1", "config.sweep.eval_split", "expected str"),
                 ("stages.0.epochs.0=1", "stages.0.epochs.0", "--set names no such field"),
-                ("seed.x=1", "seed.x", "--set names no such field")):
+                ("seed.x=1", "seed.x", "--set names no such field"),
+                ("stages.-1.epochs=7", "stages.-1.epochs", "--set names no such field"),
+                ("stages.+0.epochs=7", "stages.+0.epochs", "--set names no such field"),
+                ("stages.0_0.epochs=7", "stages.0_0.epochs", "--set names no such field")):
             with pytest.raises(ConfigError, match=message) as err:
                 load_config(demo, [bad])
             assert err.value.field == field

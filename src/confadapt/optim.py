@@ -59,7 +59,7 @@ class Adam:
         np.divide(m, b1c, out=a)
         a *= self.lr
         b = np.divide(v, b2c)
-        b = np.sqrt(b, out=b)
+        np.sqrt(b, out=b)
         b += EPS
         a /= b
         self.data -= a

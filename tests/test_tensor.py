@@ -427,7 +427,7 @@ READ_ONLY_CASES = {
 def _recording_ops():
     """Names of the ``tensor`` functions that record a gradient rule."""
     return {name for name, fn in vars(T).items()
-            if inspect.isfunction(fn) and name != "_from_op" and "_from_op(" in inspect.getsource(fn)}
+            if inspect.isfunction(fn) and "_from_op" in fn.__code__.co_names}
 
 
 class TestRulesOwnTheirWrites:
@@ -579,14 +579,15 @@ def _against_parent(op, parent, values, tol):
 
 
 class TestAgainstParentExpressions:
-    """The in-place ops give the parent expressions' bits."""
+    """The in-place ops give the parent expressions' bits, except layer
+    norm, whose row means as matrix-vector products move them within 1e-12."""
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
     @pytest.mark.parametrize("name", ORACLES)
     def test_matches_parent(self, name, shape):
         op, parent, shapes = ORACLES[name]
         values = [rng.normal(size=s) for s in shapes(*shape)]
-        _against_parent(op, parent, values, None)
+        _against_parent(op, parent, values, 1e-12 if name == "layer_norm" else None)
 
     def test_masked_attention_matches_parent(self):
         mask, scale = _masked_attention(8, 60)

@@ -48,7 +48,8 @@ class Adam:
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
         g, m, v = self.grad, self.m, self.v
-        # two scratch arrays: data -= lr * (m / b1c) / (sqrt(v / b2c) + EPS)
+        # one scratch array, then g itself once m and v have read it:
+        # data -= lr * (m / b1c) / (sqrt(v / b2c) + EPS)
         a = np.multiply(1.0 - BETA1, g)
         m *= BETA1
         m += a
@@ -58,10 +59,10 @@ class Adam:
         v += a
         np.divide(m, b1c, out=a)
         a *= self.lr
-        b = np.divide(v, b2c)
-        np.sqrt(b, out=b)
-        b += EPS
-        a /= b
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += EPS
+        a /= g
         self.data -= a
         g[...] = 0.0
 

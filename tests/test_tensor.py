@@ -394,10 +394,10 @@ def _key_padding(lens, t_k):
 # every differentiable op on operands it may only read: (call, operand shapes)
 _CAUSAL = np.triu(np.ones((4, 4), dtype=bool), k=1)
 READ_ONLY_CASES = {
-    "add": (lambda a, b: T.add(a, b), [(2, 3, 4), (4,)]),
-    "mul": (lambda a, b: T.mul(a, b), [(4,), (2, 3, 4)]),
-    "matmul": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 2)]),
-    "matmul batched": (lambda a, b: T.matmul(a, b), [(2, 2, 3, 4), (2, 2, 4, 2)]),
+    "add": (T.add, [(2, 3, 4), (4,)]),
+    "mul": (T.mul, [(4,), (2, 3, 4)]),
+    "matmul": (T.matmul, [(2, 3, 4), (4, 2)]),
+    "matmul batched": (T.matmul, [(2, 2, 3, 4), (2, 2, 4, 2)]),
     "tensor_slice": (lambda x: T.tensor_slice(x, (slice(1, None), slice(None, None, 2))),
                      [(3, 6)]),
     "reshape": (lambda x: T.reshape(x, (6, 2)), [(3, 4)]),
@@ -459,24 +459,24 @@ class TestRulesOwnTheirWrites:
         assert any(grad.any() for grad in grads[0])
 
 
-# the parent expressions of the ops rewritten to compute in place, kept as
-# oracles: each returns the forward value and the gradient of every operand
-# for an upstream gradient ``g``
+# the out-of-place expressions of the ops that compute in place, one new
+# array per step, kept as oracles: each returns the forward value and the
+# gradient of every operand for an upstream gradient ``g``
 
 
-def _parent_linear(x, w, b, g):
+def _chained_linear(x, w, b, g):
     n_in, n_out = w.shape
     data = x @ w + b
     return data, [g @ w.T, x.reshape(-1, n_in).T @ g.reshape(-1, n_out), g.sum(axis=(0, 1))]
 
 
-def _parent_swish(x, g):
+def _chained_swish(x, g):
     s = 1.0 / (1.0 + np.exp(-x))
     data = x * s
     return data, [g * (s + data * (1.0 - s))]
 
 
-def _parent_glu(x, g):
+def _chained_glu(x, g):
     h = x.shape[-1] // 2
     a = x[..., :h]
     s = 1.0 / (1.0 + np.exp(-x[..., h:]))
@@ -486,7 +486,7 @@ def _parent_glu(x, g):
     return a * s, [gx]
 
 
-def _parent_layer_norm(x, gain, bias, g, eps=1e-6):
+def _chained_layer_norm(x, gain, bias, g, eps=1e-6):
     d = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -503,7 +503,7 @@ def _parent_layer_norm(x, gain, bias, g, eps=1e-6):
     return data, [gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
 
 
-def _parent_depthwise_conv1d(x, kernel, bias, g):
+def _chained_depthwise_conv1d(x, kernel, bias, g):
     k, c = kernel.shape
     b, t, _ = x.shape
     p = k // 2
@@ -522,7 +522,7 @@ def _parent_depthwise_conv1d(x, kernel, bias, g):
     return data, [gp[:, p:p + t, :], gk, g.sum(axis=(0, 1))]
 
 
-def _parent_attention(q, k, v, g, mask, scale):
+def _chained_attention(q, k, v, g, mask, scale):
     qt = np.transpose(q, (0, 2, 1, 3))
     kt = np.transpose(k, (0, 2, 3, 1))
     vt = np.transpose(v, (0, 2, 1, 3))
@@ -550,26 +550,26 @@ def _masked_attention(b, t):
     return (_key_padding(lens, t) | np.triu(np.ones((t, t), dtype=bool), k=1)), 0.5
 
 
-# op name -> (op, parent oracle, operand shapes for a (B, T, D) activation)
+# op name -> (op, oracle, operand shapes for a (B, T, D) activation)
 ORACLES = {
-    "linear": (T.linear, _parent_linear, lambda b, t, d: [(b, t, d), (d, 2 * d), (2 * d,)]),
-    "swish": (T.swish, _parent_swish, lambda b, t, d: [(b, t, d)]),
-    "glu": (T.glu, _parent_glu, lambda b, t, d: [(b, t, 2 * d)]),
-    "layer_norm": (T.layer_norm, _parent_layer_norm, lambda b, t, d: [(b, t, d), (d,), (d,)]),
-    "depthwise_conv1d": (T.depthwise_conv1d, _parent_depthwise_conv1d,
+    "linear": (T.linear, _chained_linear, lambda b, t, d: [(b, t, d), (d, 2 * d), (2 * d,)]),
+    "swish": (T.swish, _chained_swish, lambda b, t, d: [(b, t, d)]),
+    "glu": (T.glu, _chained_glu, lambda b, t, d: [(b, t, 2 * d)]),
+    "layer_norm": (T.layer_norm, _chained_layer_norm, lambda b, t, d: [(b, t, d), (d,), (d,)]),
+    "depthwise_conv1d": (T.depthwise_conv1d, _chained_depthwise_conv1d,
                          lambda b, t, d: [(b, t, d), (5, d), (d,)]),
     "attention": (lambda q, k, v: T.attention(q, k, v, None, 0.35),
-                  lambda q, k, v, g: _parent_attention(q, k, v, g, None, 0.35),
+                  lambda q, k, v, g: _chained_attention(q, k, v, g, None, 0.35),
                   lambda b, t, d: [(b, t, 4, d // 4)] * 3),
 }
 ORACLE_SHAPES = [(8, 60, 32), (8, 4, 32)]
 
 
-def _against_parent(op, parent, values, tol):
+def _against_oracle(op, oracle, values, tol):
     tensors = [Tensor(v, requires_grad=True) for v in values]
     out = op(*tensors)
     g = rng.normal(size=out.shape)
-    want, want_grads = parent(*values, g)
+    want, want_grads = oracle(*values, g)
     out._backward(g)
     for got, expect in zip([out.data] + [t.grad for t in tensors], [want] + want_grads):
         if tol is None:
@@ -578,20 +578,21 @@ def _against_parent(op, parent, values, tol):
             np.testing.assert_allclose(got, expect, rtol=0.0, atol=tol)
 
 
-class TestAgainstParentExpressions:
-    """The in-place ops give the parent expressions' bits, except layer
-    norm, whose row means as matrix-vector products move them within 1e-12."""
+class TestAgainstOutOfPlaceExpressions:
+    """The in-place ops give the out-of-place expressions' bits, except
+    layer norm, whose row means as matrix-vector products move them within
+    1e-12."""
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
     @pytest.mark.parametrize("name", ORACLES)
-    def test_matches_parent(self, name, shape):
-        op, parent, shapes = ORACLES[name]
+    def test_matches_oracle(self, name, shape):
+        op, oracle, shapes = ORACLES[name]
         values = [rng.normal(size=s) for s in shapes(*shape)]
-        _against_parent(op, parent, values, 1e-12 if name == "layer_norm" else None)
+        _against_oracle(op, oracle, values, 1e-12 if name == "layer_norm" else None)
 
-    def test_masked_attention_matches_parent(self):
+    def test_masked_attention_matches_oracle(self):
         mask, scale = _masked_attention(8, 60)
         values = [rng.normal(size=(8, 60, 4, 8)) for _ in range(3)]
-        _against_parent(lambda q, k, v: T.attention(q, k, v, mask, scale),
-                        lambda q, k, v, g: _parent_attention(q, k, v, g, mask, scale),
+        _against_oracle(lambda q, k, v: T.attention(q, k, v, mask, scale),
+                        lambda q, k, v, g: _chained_attention(q, k, v, g, mask, scale),
                         values, None)

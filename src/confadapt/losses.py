@@ -34,9 +34,6 @@ class TokenSeq:
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
 
-    def __len__(self):
-        return len(self.ids)
-
 
 def _ref_ids(reference):
     ids = tuple(int(i) for i in reference)

@@ -21,14 +21,19 @@ Stage kinds:
 
 ``StageConfig.KINDS`` is the one table of what each kind reads and
 writes: its input and output checkpoint kinds, the settings it reads
-and the corpus splits it needs. Every kind runs through one epoch loop
-and supplies only its step and its epoch end, which keeps the epoch or
-not, then stops or not. A kept epoch is saved and becomes the stage's
-result, so the file on disk is always the checkpoint the stage would
-return if it stopped now. Search kinds, and train kinds without
-``patience``, keep every epoch; with ``patience`` a kind keeps an epoch
-only when its dev TER improves. ``check_recipe`` refuses a recipe that
-cannot run to its end before its first stage runs.
+and the corpus splits it needs. Every kind runs through one epoch loop,
+and one ``StageState`` holds the loop's state: the loop rng, the
+stage's optimizers, the epoch, the best dev TER, ``bad_epochs`` and the
+history. A kind supplies only its snapshot, its step and its epoch end,
+which returns the epoch's history entry. The loop is the one place that
+decides to keep an epoch or to stop: it keeps an epoch when
+``bad_epochs`` is 0 and stops once ``bad_epochs`` exceeds ``patience``.
+A kept epoch is saved and becomes the stage's result, so the file on
+disk is always the checkpoint the stage would return if it stopped now.
+Search kinds, and train kinds without ``patience``, keep every epoch;
+with ``patience`` a kind counts an epoch as bad unless its dev TER
+improves. ``check_recipe`` refuses a recipe that cannot run to its end
+before its first stage runs.
 
 Each stage derives all of its randomness from its own seed, so a recipe
 resumed at any stage boundary reproduces an uninterrupted run
@@ -224,46 +229,63 @@ def corpus_ter(model, utterances):
 # ---------------------------------------------------------------------
 
 
-def _diverged(stage, epoch):
-    return TrainingDivergedError(
-        f"stage {stage!r} diverged at epoch {epoch} (non-finite loss or gradient); "
-        f"last good checkpoint retained"
-    )
+@dataclass
+class StageState:
+    """What a stage carries from epoch to epoch: the loop rng (it shuffles
+    the train batches, and a search kind draws its held-out batches and
+    Gumbel noise from it too), the stage's optimizers, the epoch in
+    progress, the best dev TER so far, the epochs in a row since it last
+    improved, and the history entries of the finished epochs. A kind that
+    reads no dev TER leaves ``best`` and ``bad_epochs`` as they start, so
+    every epoch is kept."""
+
+    rng: np.random.Generator
+    optimizers: tuple
+    history: list
+    epoch: int = 0
+    best: float = math.inf
+    bad_epochs: int = 0
 
 
-def _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end):
+def _epoch_loop(cfg, corpus, seed, out_path, optimizers, snapshot, begin, end):
     """Run a stage's epochs; return the kept checkpoint and the history.
 
-    The kind supplies ``snapshot(epoch)``, its checkpoint once ``epoch`` is
-    done (epoch 0 also before the first epoch); ``begin(epoch,
-    rng)``, the epoch's step (a train batch in, a tuple of losses out);
-    and ``end(epoch, mean_losses)``, the history entry and whether to keep
-    the epoch and to stop. A kept epoch is saved and returned, so the file
-    on disk is always the checkpoint the stage would return if it stopped
-    now. A step raises ``FloatingPointError`` on a non-finite loss or gradient.
+    ``StageState`` is the one holder of the loop's state. The loop makes
+    it and hands it to the kind's hooks: ``snapshot(state)``, the
+    checkpoint once ``state.epoch`` is done (epoch 0 also before the first
+    epoch); ``begin(state)``, the epoch's step, called as ``step(state,
+    batch)`` on each train batch and returning a tuple of losses; and
+    ``end(state, mean_losses)``, the epoch's history entry. A kind that
+    reads a dev TER records in ``end`` the best one and ``bad_epochs``.
+    Keep and stop are decided here alone: an epoch is kept when
+    ``bad_epochs`` is 0, and the stage stops once ``bad_epochs`` exceeds
+    ``cfg.patience``. A kept epoch is saved and returned, so the file on
+    disk is always the checkpoint the stage would return if it stopped
+    now. A step raises ``FloatingPointError`` on a non-finite loss or
+    gradient.
     """
     cfg.check_splits(corpus)
-    rng = np.random.default_rng(sub_seed(seed, "loop"))
-    kept = snapshot(0)
+    state = StageState(np.random.default_rng(sub_seed(seed, "loop")), optimizers, [])
+    kept = snapshot(state)
     kept.save(out_path)
-    history = []
-    for epoch in range(cfg.epochs):
-        step = begin(epoch, rng)
+    for state.epoch in range(cfg.epochs):
+        step = begin(state)
         sums, count = 0.0, 0
         try:
-            for batch in iter_batches(corpus.split("train"), cfg.batch_size, rng):
-                sums = sums + np.asarray(step(batch))
+            for batch in iter_batches(corpus.split("train"), cfg.batch_size, state.rng):
+                sums = sums + np.asarray(step(state, batch))
                 count += 1
         except FloatingPointError as exc:
-            raise _diverged(cfg.name, epoch) from exc
-        entry, keep, stop = end(epoch, sums / count)
-        history.append(entry)
-        if keep:
-            kept = snapshot(epoch)
+            raise TrainingDivergedError(
+                f"stage {cfg.name!r} diverged at epoch {state.epoch} (non-finite loss or "
+                f"gradient); last good checkpoint retained") from exc
+        state.history.append(end(state, sums / count))
+        if state.bad_epochs == 0:
+            kept = snapshot(state)
             kept.save(out_path)
-        if stop:
+        if cfg.patience is not None and state.bad_epochs > cfg.patience:
             break
-    return kept, history
+    return kept, state.history
 
 
 def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
@@ -272,26 +294,27 @@ def _search_stage(task, logits, corpus, cfg, seed, out_path, lineage):
     ``cfg.temperature``. Every epoch is kept, and records the temperature
     it ran at; a file written before the first epoch records the first
     epoch's."""
-    opt_w = Adam(task.named_parameters(), cfg.lr_weights)
-    opt_l = Adam(logits.named_parameters(), cfg.lr_logits)
+    optimizers = (Adam(task.named_parameters(), cfg.lr_weights),
+                  Adam(logits.named_parameters(), cfg.lr_logits))
 
-    def snapshot(epoch):
+    def snapshot(state):
         return Checkpoint(kind="supernet", space=task.space, lineage=lineage,
                           weights={n: p.data.copy() for n, p in task.named_parameters().items()},
                           logits={_key_str(k): v.data.copy() for k, v in logits.groups.items()},
-                          logits_meta={"temperature": cfg.temperature(epoch)})
+                          logits_meta={"temperature": cfg.temperature(state.epoch)})
 
-    def begin(epoch, rng):
-        t = cfg.temperature(epoch)
+    def begin(state):
+        t = cfg.temperature(state.epoch)
+        rng = state.rng
         # drawn before the loop shuffles the train split with the same rng
         held = itertools.cycle(list(iter_batches(corpus.split("heldout"), cfg.batch_size, rng)))
-        return lambda tb: alternating_step(tb, next(held), task, logits, opt_w, opt_l, rng, t)
+        return lambda st, tb: alternating_step(tb, next(held), task, logits, *st.optimizers, rng, t)
 
-    def end(epoch, means):
-        return {"epoch": epoch, "temperature": float(cfg.temperature(epoch)),
-                "train_loss": float(means[0]), "heldout_loss": float(means[1])}, True, False
+    def end(state, means):
+        return {"epoch": state.epoch, "temperature": float(cfg.temperature(state.epoch)),
+                "train_loss": float(means[0]), "heldout_loss": float(means[1])}
 
-    return _epoch_loop(cfg, corpus, seed, out_path, snapshot, begin, end)
+    return _epoch_loop(cfg, corpus, seed, out_path, optimizers, snapshot, begin, end)
 
 
 def _train_stage(model, corpus, cfg, seed, out_path, lineage):
@@ -299,31 +322,29 @@ def _train_stage(model, corpus, cfg, seed, out_path, lineage):
     ``patience`` every epoch is kept. With it, an epoch is kept only when
     its dev TER improves, and the stage stops after more than ``patience``
     epochs in a row without improvement."""
-    opt = Adam(model.named_parameters(), cfg.lr_weights)
-    best, bad_epochs = math.inf, 0
+    optimizers = (Adam(model.named_parameters(), cfg.lr_weights),)
 
-    def snapshot(epoch):
+    def snapshot(state):
         return Checkpoint(kind="model", space=model.space, arch=model.arch, lineage=lineage,
                           weights={n: p.data.copy() for n, p in model.named_parameters().items()})
 
-    def step(batch):
+    def step(state, batch):
         loss = model.batch_loss(batch)
         if not np.isfinite(loss.item()):  # before backward: a poisoned batch updates nothing
             raise FloatingPointError("non-finite training loss")
         backward(loss)
-        opt.step()
+        state.optimizers[0].step()
         return (loss.item(),)
 
-    def end(epoch, means):
-        nonlocal best, bad_epochs
-        entry = {"epoch": epoch, "train_loss": float(means[0])}
-        if cfg.patience is None:
-            return entry, True, False
-        entry["dev_ter"] = ter = float(corpus_ter(model, corpus.split("dev")))
-        best, bad_epochs = (ter, 0) if ter < best else (best, bad_epochs + 1)
-        return entry, bad_epochs == 0, bad_epochs > cfg.patience
+    def end(state, means):
+        entry = {"epoch": state.epoch, "train_loss": float(means[0])}
+        if cfg.patience is not None:
+            entry["dev_ter"] = ter = float(corpus_ter(model, corpus.split("dev")))
+            state.bad_epochs = 0 if ter < state.best else state.bad_epochs + 1
+            state.best = min(state.best, ter)
+        return entry
 
-    return _epoch_loop(cfg, corpus, seed, out_path, snapshot, lambda epoch, rng: step, end)
+    return _epoch_loop(cfg, corpus, seed, out_path, optimizers, snapshot, lambda state: step, end)
 
 
 def _lineage_entry(cfg, seed):

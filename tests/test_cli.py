@@ -1,6 +1,9 @@
 """CLI subcommands, config validation, report idempotence."""
 
 import json
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +154,18 @@ class TestEvaluate:
 
 
 class TestDumpArch:
+    def test_run_as_a_module_exits_with_the_code_of_main(self, tmp_path, monkeypatch, capsys):
+        # `python -m confadapt.cli` runs main() and exits with the code it returns
+        missing = str(tmp_path / "missing.ckpt")
+        monkeypatch.setattr(sys, "argv", ["confadapt", "dump-arch", "--checkpoint", missing])
+        with warnings.catch_warnings():
+            # the package has imported confadapt.cli already; runpy runs a fresh copy
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("confadapt.cli", run_name="__main__")
+        assert exc.value.code == 3
+        assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 3
+
     def test_model_checkpoint_table(self, workspace, capsys):
         tmp_path, _, _ = workspace
         assert main(["dump-arch", "--checkpoint", str(tmp_path / "run" / "m_param_tgt.ckpt")]) == 0

@@ -11,6 +11,7 @@ from confadapt.data import (
     Corpus,
     DomainSpec,
     Utterance,
+    _apportion,
     _write_features,
     default_domain_pair,
     generate,
@@ -102,6 +103,12 @@ class TestGenerate:
         spec = small_spec(mean_frames=6.0, frames_jitter=0.0, tokens_min=4, tokens_max=4)
         with pytest.raises(RuntimeError, match="feasible"):
             generate(spec, {"train": 1})
+
+    def test_apportion_trims_floors_that_overshoot(self):
+        # each segment gets at least one frame, so the floors [1, 1, 1, 9] sum to 12,
+        # and the largest segment gives back the 2 frames over the total
+        segs = _apportion(10, np.array([0.01, 0.01, 0.01, 10.0]))
+        assert segs.tolist() == [1, 1, 1, 7]
 
 
 class TestWarpGrading:
@@ -200,6 +207,20 @@ class TestSerialization:
         feats.write_bytes(blob + bytes(8))
         with pytest.raises(ValueError, match=feats.name):
             Corpus.load(tmp_path / "corpus")
+
+    def test_blank_manifest_line_skipped(self, tmp_path):
+        c = generate(small_spec(), {"train": 2, "test": 1})
+        root = tmp_path / "corpus"
+        c.save(root)
+        manifest = root / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n")
+        d = Corpus.load(root)
+        for split in ("train", "test"):
+            assert [u.uid for u in d.split(split)] == [u.uid for u in c.split(split)]
+            for u, v in zip(c.split(split), d.split(split)):
+                assert u.features.tobytes() == v.features.tobytes()
+                assert (u.tokens == v.tokens).all()
 
     def test_feature_file_channel_count_checked(self, tmp_path):
         c = generate(small_spec(), {"train": 2})

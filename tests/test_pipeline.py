@@ -213,6 +213,29 @@ class TestPretrain:
         retained = Checkpoint.load(path)
         assert all(np.isfinite(a).all() for a in retained.weights.values())
 
+    def test_patience_does_not_stop_a_search_stage(self, corpora, tmp_path, monkeypatch):
+        # the CLI refuses patience on a search kind, but StageConfig takes it from Python;
+        # a search stage has no dev TER, so it runs and keeps every epoch all the same
+        saves = []
+        save = Checkpoint.save
+
+        def counted_save(ckpt, path):
+            saves.append(path)
+            save(ckpt, path)
+
+        monkeypatch.setattr(Checkpoint, "save", counted_save)
+        path = tmp_path / "sn.ckpt"
+        stage = cfg("p", "pretrain", epochs=3, patience=0)
+        ckpt, history = pretrain_supernet(corpora["source"], stage, SPACE, path, seed=2)
+        assert [e["epoch"] for e in history] == [0, 1, 2]
+        assert saves == [path] * 4  # before the first epoch, then once per kept epoch
+        ckpt.save(tmp_path / "returned.ckpt")
+        assert (tmp_path / "returned.ckpt").read_bytes() == path.read_bytes()
+        free, _ = pretrain_supernet(corpora["source"], cfg("p", "pretrain", epochs=3), SPACE,
+                                    tmp_path / "free.ckpt", seed=2)
+        for name, arr in free.weights.items():
+            assert ckpt.weights[name].tobytes() == arr.tobytes(), name
+
     def test_two_branch_toy_selects_source_optimal_branch(self, corpora, tmp_path):
         # analytic task: one group's first candidate has strictly lower loss
         key = ("enc", 0, "ck")

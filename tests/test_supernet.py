@@ -590,6 +590,10 @@ class TestValidation:
         with pytest.raises(ShapeError, match=r"shape \(3,\) != \(2,\)"):
             net.mixed_forward(batch, w)
 
+    def test_unknown_parameter_init_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown init kind orthogonal"):
+            S._init_value((4, 4), "orthogonal", np.random.default_rng(0))
+
     def test_unknown_materialize_init_rejected(self, net):
         with pytest.raises(ValueError, match="'inherit' or 'fresh'"):
             net.materialize(DerivedArch.minimal(SPACE), init="copy")

@@ -22,7 +22,9 @@ stderr. An invalid configuration exits 2 before any stage runs: a file
 that is not readable JSON, an unknown, missing or unread key, a value
 of the wrong type or range (an odd ``space.model_dim`` included), a
 ``--set`` path that names no field, a space or split that the corpora
-do not have, or a recipe that ``pipeline.check_recipe`` refuses. The
+do not have, a recipe that ``pipeline.check_recipe`` refuses, a system
+checkpoint that no stage writes as a model and that is no model file of
+the configured space, or a sweep with no penalty factor. The
 record's ``field`` names the value: ``config.space.model_dim``, a field
 in a list of objects ``config.stages.<index>.<key>``, an element of a
 list of scalars the list (``config.sweep.eta``), a map value
@@ -42,7 +44,8 @@ from typing import get_args, get_origin, get_type_hints
 
 from .checkpoint import Checkpoint
 from .data import Corpus, DomainSpec, generate
-from .pipeline import RecipeError, StageConfig, logits_from_checkpoint, run_recipe
+from .pipeline import (RecipeError, StageConfig, check_checkpoint, check_recipe,
+                       logits_from_checkpoint, run_recipe)
 from .report import (
     arch_table,
     evaluation_report,
@@ -111,6 +114,8 @@ class SweepConfig:
     eval_split: str = "test"
 
     def __post_init__(self):
+        if not self.eta:
+            raise RecipeError("needs at least one penalty factor", "eta")
         bad = [e for e in self.eta if not e >= 0]
         if bad:
             raise RecipeError(f"penalty factors must be nonnegative, got {bad}", "eta")
@@ -299,8 +304,14 @@ def cmd_run(cfg, _args):
         raise ConfigError("config.stages", "run needs config.space and config.stages")
     corpora = _load_corpora(cfg)
     _check_space(cfg.space, corpora)
+    made = check_recipe(cfg.stages, corpora, cfg.space)
     for i, s in enumerate(cfg.systems):
         _check_split(corpora[s.corpus], s.split, f"config.systems.{i}.split")
+        try:
+            check_checkpoint(s.checkpoint, "model", made, cfg.space, f"system {s.name!r}",
+                             "checkpoint")
+        except RecipeError as exc:
+            raise ConfigError(f"config.systems.{i}.checkpoint", str(exc)) from exc
     rep = run_recipe(cfg.stages, corpora, cfg.out_dir, cfg.space, seed=cfg.seed)
     systems = []
     for s in cfg.systems:

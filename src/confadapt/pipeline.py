@@ -51,7 +51,7 @@ import math
 import time
 import zlib
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +137,9 @@ class StageConfig:
 
         if self.kind not in self.KINDS:
             refuse("kind", f"unknown kind {self.kind!r}")
+        for f in fields(self):  # a setting the kind does not read stays at its default
+            if f.name not in self.keys(self.kind) and getattr(self, f.name) != f.default:
+                refuse(f.name, f"kind {self.kind!r} does not read {f.name}")
         for field, least in (("epochs", 0), ("batch_size", 1), ("patience", 0), ("seed", 0)):
             v = getattr(self, field)
             if v is not None and v < least:
@@ -403,11 +406,10 @@ def check_recipe(stages, corpora, space):
     """Refuse a recipe that cannot run to its end, before its first stage runs.
 
     Each stage needs a unique name and output, a known corpus with the
-    splits the stage reads, and, unless it starts from scratch, an input:
-    an earlier stage's output or a checkpoint file, of the checkpoint kind
-    the stage reads and, for a file, of the configured space. A refusal
-    is a ``RecipeError`` naming the stage's index and setting; an input
-    that does not fit is a ``StageInputError``.
+    splits the stage reads, and, unless it starts from scratch, an input
+    that ``check_checkpoint`` accepts. A refusal is a ``RecipeError``
+    naming the stage's index and setting. Returns each stage output's
+    checkpoint kind.
     """
     names, made = set(), {}  # made: each earlier output -> its checkpoint kind
     for i, cfg in enumerate(stages):
@@ -427,6 +429,7 @@ def check_recipe(stages, corpora, space):
             raise
         names.add(cfg.name)
         made[out_name] = StageConfig.KINDS[cfg.kind].output
+    return made
 
 
 def _check_input(cfg, made, space):
@@ -435,23 +438,31 @@ def _check_input(cfg, made, space):
         return
     if cfg.input is None:
         raise RecipeError(f"stage {cfg.name!r}: kind {cfg.kind!r} requires an input", "input")
-    if cfg.input in made:
-        got = made[cfg.input]
-    elif Path(cfg.input).is_file():
+    check_checkpoint(cfg.input, want, made, space, f"stage {cfg.name!r}", "input")
+
+
+def check_checkpoint(ref, want, made, space, reader, key):
+    """Refuse ``ref`` unless it names a checkpoint of kind ``want``: an
+    output in ``made`` (output -> checkpoint kind) or a checkpoint file of
+    ``space``. A refusal names the ``reader`` and carries ``key``; a
+    checkpoint that does not fit is a ``StageInputError``."""
+    if ref in made:
+        got = made[ref]
+    elif Path(ref).is_file():
         try:
-            ckpt = Checkpoint.load(cfg.input)
+            ckpt = Checkpoint.load(ref)
         except IncompatibleCheckpointError as exc:
-            raise StageInputError(f"stage {cfg.name!r}: {exc}", "input") from exc
+            raise StageInputError(f"{reader}: {exc}", key) from exc
         if ckpt.space != space:
-            raise StageInputError(f"stage {cfg.name!r}: checkpoint space differs from the "
-                                  f"configured space", "input")
+            raise StageInputError(f"{reader}: checkpoint space differs from the "
+                                  f"configured space", key)
         got = ckpt.kind
     else:
-        raise RecipeError(f"stage {cfg.name!r}: input {cfg.input!r} is neither an earlier "
-                          f"stage output nor an existing checkpoint file", "input")
+        raise RecipeError(f"{reader}: {key} {ref!r} is neither an earlier "
+                          f"stage output nor an existing checkpoint file", key)
     if got != want:
-        raise StageInputError(f"stage {cfg.name!r}: input {cfg.input!r} is a {got} checkpoint; "
-                              f"kind {cfg.kind!r} requires a {want} checkpoint", "input")
+        raise StageInputError(f"{reader} requires a {want} checkpoint; {key} {ref!r} is a "
+                              f"{got} checkpoint", key)
 
 
 def run_recipe(stages, corpora, out_dir, space, seed=0):

@@ -116,6 +116,8 @@ def sweep(eta_list, stages, corpora, out_dir, space, seed=0, eval_corpus="target
     aborting the others; a negative penalty factor or a recipe that
     ``check_recipe`` refuses is refused before anything runs.
     """
+    if not eta_list:
+        raise ValueError("sweep: needs at least one penalty factor")
     bad = [eta for eta in eta_list if not eta >= 0]
     if bad:
         raise ValueError(f"sweep: penalty factors must be nonnegative, got {bad}")

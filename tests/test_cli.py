@@ -168,10 +168,21 @@ class TestDumpArch:
 
     def test_model_checkpoint_table(self, workspace, capsys):
         tmp_path, _, _ = workspace
-        assert main(["dump-arch", "--checkpoint", str(tmp_path / "run" / "m_param_tgt.ckpt")]) == 0
+        path = tmp_path / "run" / "m_param_tgt.ckpt"
+        assert main(["dump-arch", "--checkpoint", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "enc          0" in out.replace("enc      0", "enc          0") or "enc" in out
-        assert '"arch"' in out
+        ckpt = Checkpoint.load(path)
+        table = arch_table(ckpt.arch, ckpt.space)
+        assert out.startswith(table)
+        assert json.loads(out[len(table):])["arch"] == ckpt.arch.to_json()
+        # each row holds its section, its block and the checkpoint's choices, in column order
+        rows = [line.split() for line in table.splitlines()]
+        expected = []
+        for section in ("enc", "dec"):
+            groups = ckpt.space.block_groups(section)
+            expected.append(["section", "block"] + [g.upper() for g in groups])
+            expected.append([section, "0"] + [str(ckpt.arch[(section, 0, g)]) for g in groups])
+        assert rows == expected
 
     def test_supernet_checkpoint_extracts(self, workspace, capsys):
         tmp_path, _, _ = workspace
@@ -446,6 +457,11 @@ class TestConfigValidation:
         ("gen-data", {"data.target": None}, [], "config.data"),
         ("run", {"space": None}, [], "config.stages"),
         ("sweep", {"sweep": None}, [], "config.sweep"),
+        # a system checkpoint that no stage writes as a model, refused before training
+        ("run", {}, ["systems.0.checkpoint=m_typo"], "config.systems.0.checkpoint"),
+        ("run", {}, ["systems.1.checkpoint=sn_tgt"], "config.systems.1.checkpoint"),
+        # a sweep with no penalty factor, refused before it pre-trains
+        ("sweep", {"sweep": {"eta": []}}, [], "config.sweep.eta"),
     ])
     def test_invalid_config_exits_2_before_any_stage(self, workspace, no_dev_data, tmp_path,
                                                      capsys, command, edit, overrides, field):
@@ -568,6 +584,16 @@ class TestSweep:
             run_sweep([0.0, -1.0], stages, corpora, tmp_path / "neg",
                       ArchSpace.from_json(cfg["space"]))
         assert not (tmp_path / "neg").exists()
+
+    def test_empty_eta_refused_before_any_stage(self, workspace, tmp_path):
+        tmp_path_ws, cfg, _ = workspace
+        corpora = {d: Corpus.load(tmp_path_ws / "data" / d) for d in ("source", "target")}
+        stages = [StageConfig(name="pre", kind="pretrain", corpus="source", epochs=1,
+                              batch_size=8, output="sn")]
+        from confadapt.space import ArchSpace
+        with pytest.raises(ValueError, match="at least one penalty factor"):
+            run_sweep([], stages, corpora, tmp_path / "empty", ArchSpace.from_json(cfg["space"]))
+        assert not (tmp_path / "empty").exists()
 
     def test_single_eta_matches_plain_run(self, workspace, tmp_path):
         tmp_path_ws, cfg, _ = workspace

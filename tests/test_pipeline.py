@@ -214,8 +214,11 @@ class TestPretrain:
         assert all(np.isfinite(a).all() for a in retained.weights.values())
 
     def test_patience_does_not_stop_a_search_stage(self, corpora, tmp_path, monkeypatch):
-        # the CLI refuses patience on a search kind, but StageConfig takes it from Python;
-        # a search stage has no dev TER, so it runs and keeps every epoch all the same
+        # a search stage has no dev TER, so StageConfig refuses patience on it, as the CLI
+        # does; without patience it runs and keeps every epoch
+        with pytest.raises(RecipeError) as err:
+            cfg("p", "pretrain", epochs=3, patience=0)
+        assert err.value.key == "patience"
         saves = []
         save = Checkpoint.save
 
@@ -225,16 +228,12 @@ class TestPretrain:
 
         monkeypatch.setattr(Checkpoint, "save", counted_save)
         path = tmp_path / "sn.ckpt"
-        stage = cfg("p", "pretrain", epochs=3, patience=0)
+        stage = cfg("p", "pretrain", epochs=3, patience=None)
         ckpt, history = pretrain_supernet(corpora["source"], stage, SPACE, path, seed=2)
         assert [e["epoch"] for e in history] == [0, 1, 2]
         assert saves == [path] * 4  # before the first epoch, then once per kept epoch
         ckpt.save(tmp_path / "returned.ckpt")
         assert (tmp_path / "returned.ckpt").read_bytes() == path.read_bytes()
-        free, _ = pretrain_supernet(corpora["source"], cfg("p", "pretrain", epochs=3), SPACE,
-                                    tmp_path / "free.ckpt", seed=2)
-        for name, arr in free.weights.items():
-            assert ckpt.weights[name].tobytes() == arr.tobytes(), name
 
     def test_two_branch_toy_selects_source_optimal_branch(self, corpora, tmp_path):
         # analytic task: one group's first candidate has strictly lower loss
@@ -485,6 +484,20 @@ class TestRunRecipe:
     def test_missing_input_field_refused(self, corpora, tmp_path):
         with pytest.raises(RecipeError, match="requires an input"):
             run_recipe([cfg("ad", "adapt")], corpora, tmp_path, SPACE, seed=1)
+
+    def test_setting_the_kind_does_not_read_refused(self):
+        # from Python as from the CLI: a setting outside StageConfig.keys(kind) keeps its
+        # default; a NaN differs from every default
+        with pytest.raises(RecipeError) as err:
+            StageConfig("p", "pretrain", patience=0, init="fresh", reinit_output=True)
+        assert err.value.key in ("patience", "init", "reinit_output")
+        for kind, setting in (("derive", {"eta": 0.003}), ("derive", {"eta": float("nan")}),
+                              ("finetune", {"init": "fresh"}), ("adapt", {"reinit_output": True}),
+                              ("derive", {"t_end": 0.5})):
+            with pytest.raises(RecipeError, match="does not read") as err:
+                StageConfig("s", kind, input="x", **setting)
+            assert err.value.key == next(iter(setting))
+        assert StageConfig("d", "derive", input="x", eta=0.0).eta == 0.0
 
     def test_duplicate_outputs_refused_before_any_stage(self, corpora, tmp_path):
         for stages, message in (

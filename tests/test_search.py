@@ -104,6 +104,38 @@ class TestSampleWeights:
         backward((lam[key] * Tensor([1.0, 2.0])).sum())
         assert np.abs(logits.groups[key].grad).max() > 0
 
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2, 3), (4, 3, 4, 3)])
+    def test_one_noise_draw_equals_the_per_group_draws(self, sizes):
+        # sample_weights draws every group's noise in one call
+        tiny = np.finfo(np.float64).tiny
+        whole, parts = np.random.default_rng(17), np.random.default_rng(17)
+        one = whole.uniform(tiny, 1.0, size=sum(sizes))
+        each = np.concatenate([parts.uniform(tiny, 1.0, size=n) for n in sizes])
+        assert one.tobytes() == each.tobytes()
+        assert whole.bit_generator.state == parts.bit_generator.state
+
+    def test_noise_takes_one_draw_per_candidate(self):
+        space = ArchSpace()  # the default grid: groups of 4, 3, 4 and 3 candidates
+        draw, expect = np.random.default_rng(3), np.random.default_rng(3)
+        sample_weights(ArchLogits(space), rng=draw)
+        for _, choices in space.groups():
+            expect.uniform(size=len(choices))
+        assert draw.bit_generator.state == expect.bit_generator.state
+
+    def test_reads_the_logits_an_optimizer_stepped(self):
+        # Adam rebinds each group's data to its own flat array; sampling must
+        # read the groups as they are now, not a copy taken at construction
+        task = TwoBranchTask(("enc", 0, "ck"), np.array([1.0, 2.0]))
+        logits = toy_logits(eta=0.1)
+        ow, ol = Adam(task.named_parameters(), 1e-2), Adam(logits.named_parameters(), 2e-2)
+        alternating_step(_dummy_batch(), _dummy_batch(), task, logits, ow, ol,
+                         np.random.default_rng(9), 1.0)
+        lam = sample_weights(logits, rng=None)
+        for key, vec in logits.groups.items():
+            assert vec.data.size == 1 or np.abs(vec.data).max() > 0, key
+            e = np.exp(vec.data - vec.data.max())
+            np.testing.assert_allclose(lam[key].data, e / e.sum(), rtol=0, atol=1e-15)
+
 
 class TestExpectedWeights:
     def test_equal_logits_uniform(self):

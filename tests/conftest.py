@@ -1,6 +1,7 @@
 """Shared fixtures: the reduced-space end-to-end experiments reused by the
 acceptance suite and the corpus sanity tests, plus a terminal summary that
-prints one pass/fail line per acceptance criterion."""
+prints one pass/fail line per acceptance criterion, each followed by the
+values the criterion compared (``record_margin``)."""
 
 import os
 
@@ -140,6 +141,7 @@ def source_baseline(tmp_path_factory):
 # ---------------------------------------------------------------------
 
 _CRITERIA_RESULTS = {}
+_CRITERIA_MARGINS = {}
 
 CRITERIA_TITLES = {
     1: "gradient suite (tensor ops + ctc, rel err < 1e-4)",
@@ -152,6 +154,12 @@ CRITERIA_TITLES = {
     8: "length-stratified: shorter-half gain >= longer-half gain",
     9: "bit-exact reproducibility and checkpoint round-trip",
 }
+
+
+def record_margin(num, *lines):
+    """Lines the summary prints under criterion ``num``: what it compared,
+    so a run shows how much headroom the criterion had."""
+    _CRITERIA_MARGINS.setdefault(num, []).extend(lines)
 
 
 def pytest_runtest_logreport(report):
@@ -175,3 +183,5 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if outcome == "passed" else "FAIL"
         title = CRITERIA_TITLES.get(num, "")
         terminalreporter.write_line(f"criterion {num}: {status}  {title}")
+        for line in _CRITERIA_MARGINS.get(num, ()):
+            terminalreporter.write_line(f"    {line}")

@@ -12,7 +12,7 @@ import pytest
 
 from confadapt import tensor as T
 from confadapt.checkpoint import Checkpoint
-from confadapt.data import Batch, default_domain_pair, generate
+from confadapt.data import Batch, default_domain_pair, generate, median_split
 from confadapt.losses import EOS_ID, SOS_ID
 from confadapt.pipeline import StageConfig, run_recipe
 from confadapt.search import ArchLogits, sample_weights
@@ -20,7 +20,7 @@ from confadapt.space import ArchSpace, DerivedArch, param_count
 from confadapt.supernet import ConformerSupernet, one_hot_weights
 from confadapt.tensor import Tensor
 
-from conftest import E2E_SPACE
+from conftest import ADAPTATION_SEEDS, E2E_SPACE, record_margin
 from test_losses import ctc_bruteforce, ctc_single, rand_logprobs
 from util_grad import check_grads
 
@@ -163,18 +163,29 @@ class TestCriterion4and5:
         t0 = time.monotonic()
         batch = _rand_batch(E2E_SPACE)
         arch_rng = np.random.default_rng(31337)
-        for _ in range(20):
-            arch = DerivedArch.sample_uniform(E2E_SPACE, arch_rng)
-            mixed = net.mixed_forward(batch, one_hot_weights(E2E_SPACE, arch))
-            direct = net.one_hot_forward(batch, arch)
-            mat = net.materialize(arch, init="inherit").forward(batch)
-            for field in ("ctc_logprobs", "dec_logits"):
-                a = getattr(mixed, field).data
-                b = getattr(direct, field).data
-                c = getattr(mat, field).data
-                np.testing.assert_allclose(a, b, atol=1e-6)
-                np.testing.assert_allclose(a, c, atol=1e-6)
-                np.testing.assert_allclose(b, c, atol=1e-9)
+        worst = {"mixed - direct": 0.0, "mixed - materialized": 0.0,
+                 "direct - materialized": 0.0}
+        try:
+            for _ in range(20):
+                arch = DerivedArch.sample_uniform(E2E_SPACE, arch_rng)
+                mixed = net.mixed_forward(batch, one_hot_weights(E2E_SPACE, arch))
+                direct = net.one_hot_forward(batch, arch)
+                mat = net.materialize(arch, init="inherit").forward(batch)
+                for field in ("ctc_logprobs", "dec_logits"):
+                    a = getattr(mixed, field).data
+                    b = getattr(direct, field).data
+                    c = getattr(mat, field).data
+                    for name, (x, y) in (("mixed - direct", (a, b)),
+                                         ("mixed - materialized", (a, c)),
+                                         ("direct - materialized", (b, c))):
+                        worst[name] = max(worst[name], float(np.abs(x - y).max()))
+                    np.testing.assert_allclose(a, b, atol=1e-6)
+                    np.testing.assert_allclose(a, c, atol=1e-6)
+                    np.testing.assert_allclose(b, c, atol=1e-9)
+        finally:
+            record_margin(4, "worst |mixed - direct| {:.1e}, |mixed - materialized| {:.1e} "
+                             "(bound 1e-06); |direct - materialized| {:.1e} (bound 1e-09)"
+                          .format(*worst.values()))
         assert time.monotonic() - t0 < 300.0
 
     def test_criterion_5_param_count_exactness(self, net):
@@ -195,17 +206,39 @@ class TestCriterion6:
                 assert "error" not in system, system
                 counts[system["eta"]].append(system["params"])
         medians = [float(np.median(counts[e])) for e in etas]
+        record_margin(6, "median extracted sizes at eta {}: {}".format(
+            " / ".join(f"{e:g}" for e in etas), " >= ".join(f"{m:.0f}" for m in medians)))
         assert len(counts[etas[0]]) == 5
         assert medians[0] >= medians[1] >= medians[2], medians
 
 
+def _ter_and_tokens(values, tokens):
+    """Per-seed TERs over ``tokens`` reference tokens, and the same as token counts."""
+    return ("/".join(f"{v:.4f}" for v in values),
+            "/".join(str(round(v * tokens)) for v in values))
+
+
+def _reference_tokens(utterances):
+    return sum(len(u.tokens) for u in utterances)
+
+
 class TestCriterion7and8:
-    def test_criterion_7_adaptation_gain(self, adaptation_runs):
+    def test_criterion_7_adaptation_gain(self, adaptation_runs, e2e_corpora):
         param = [r["param"]["tgt_test"]["overall"] for r in adaptation_runs]
         hyper = [r["hyper"]["tgt_test"]["overall"] for r in adaptation_runs]
+        n = _reference_tokens(e2e_corpora["target"].split("test"))
+        med_h, med_p = float(np.median(hyper)), float(np.median(param))
+        record_margin(
+            7,
+            "median target-test TER: hyper {} <= param {}, margin {} ({} tokens of {})".format(
+                f"{med_h:.4f}", f"{med_p:.4f}", f"{med_p - med_h:.4f}",
+                round((med_p - med_h) * n), n),
+            "per seed {}: hyper {} ({} tokens), param {} ({} tokens)".format(
+                "/".join(map(str, ADAPTATION_SEEDS)),
+                *_ter_and_tokens(hyper, n), *_ter_and_tokens(param, n)))
         assert float(np.median(hyper)) <= float(np.median(param)), (hyper, param)
 
-    def test_criterion_8_length_stratified_pattern(self, adaptation_runs):
+    def test_criterion_8_length_stratified_pattern(self, adaptation_runs, e2e_corpora):
         short_gain = [
             r["param"]["tgt_test"]["shorter"] - r["hyper"]["tgt_test"]["shorter"]
             for r in adaptation_runs
@@ -214,6 +247,18 @@ class TestCriterion7and8:
             r["param"]["tgt_test"]["longer"] - r["hyper"]["tgt_test"]["longer"]
             for r in adaptation_runs
         ]
+        shorter, longer = median_split(e2e_corpora["target"].split("test"))
+        n_short, n_long = _reference_tokens(shorter), _reference_tokens(longer)
+        med_s, med_l = float(np.median(short_gain)), float(np.median(long_gain))
+        record_margin(
+            8,
+            "median gain of hyper over param: shorter half {} ({} of {} tokens) >= longer "
+            "half {} ({} of {} tokens), difference {}".format(
+                f"{med_s:.4f}", round(med_s * n_short), n_short,
+                f"{med_l:.4f}", round(med_l * n_long), n_long, f"{med_s - med_l:.4f}"),
+            "per seed {}: shorter {} ({} tokens), longer {} ({} tokens)".format(
+                "/".join(map(str, ADAPTATION_SEEDS)),
+                *_ter_and_tokens(short_gain, n_short), *_ter_and_tokens(long_gain, n_long)))
         assert float(np.median(short_gain)) >= float(np.median(long_gain)), (
             short_gain, long_gain)
 

@@ -15,6 +15,10 @@ drops toward zero the samples approach one-hot vectors.
 The size penalty uses the noise-free expected weights (softmax of the
 logits at T=1): raw unnormalized candidate scores are scale-invariant
 under the softmax, so penalizing them directly would be degenerate.
+
+Sampling draws the noise of every group in one ``rng.uniform`` call and
+records every group's softmax as one op, whose output is the flat vector
+of a ``space.GroupWeights``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import zero_all
-from .space import expected_param_count, DerivedArch, _key_str
+from .space import GroupWeights, expected_param_count, DerivedArch, _key_str
 from .tensor import Tensor, backward
 
 
@@ -45,28 +49,55 @@ class ArchLogits:
         return {f"logits.{_key_str(k)}": t for k, t in self.groups.items()}
 
 
+def _group_softmax(logits, noise, scale):
+    """Every group's softmax of ``(logit + noise) * scale``, recorded as one
+    op over the group tensors; the result is flat, in ``space.layout``
+    order. The logits are read as they are at the call: an optimizer may
+    have rebound each group's ``data`` since ``ArchLogits`` made it."""
+    lay = logits.space.layout
+    vecs = [logits.groups[key] for key in lay.keys]
+    x = np.concatenate([v.data for v in vecs])
+    if noise is not None:
+        x += noise
+    x *= scale
+    y = lay.padded(x, -np.inf)
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        t = lay.padded(g, 0.0)
+        t -= (t * y).sum(axis=1, keepdims=True)
+        t *= y
+        t = lay.flat(t)
+        t *= scale
+        for key, v in zip(lay.keys, vecs):
+            if v.requires_grad:
+                T._accumulate(v, t[lay.spans[key]])
+
+    return T._from_op(lay.flat(y), vecs, bw)
+
+
 def sample_weights(logits, rng=None, temperature=1.0):
     """Draw per-group mixing weights with Gumbel noise on the logits.
 
     ``rng=None`` is the deterministic hook: zero noise, which reduces to
-    a plain tempered softmax of the logits.
+    a plain tempered softmax of the logits. One ``rng.uniform`` call draws
+    the noise of every group, the same numbers as one draw per group in
+    ``space.groups()`` order. Returns a ``GroupWeights``.
     """
     if not temperature > 0:
         raise ValueError(f"sample_weights: temperature must be positive, got {temperature}")
-    out = {}
-    for key, vec in logits.groups.items():
-        if rng is None:
-            noise = np.zeros(vec.shape)
-        else:
-            u = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=vec.shape)
-            noise = -np.log(-np.log(u))
-        out[key] = T.softmax((vec + Tensor(noise)) * (1.0 / temperature), axis=-1)
-    return out
+    noise = None
+    if rng is not None:
+        u = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=logits.space.layout.size)
+        noise = -np.log(-np.log(u))
+    return GroupWeights(logits.space, _group_softmax(logits, noise, 1.0 / temperature))
 
 
 def expected_weights(logits):
     """Noise-free softmax of the logits (used for penalty and reporting)."""
-    return {key: T.softmax(vec, axis=-1) for key, vec in logits.groups.items()}
+    return GroupWeights(logits.space, _group_softmax(logits, None, 1.0))
 
 
 def penalized_loss(task_loss, logits):

@@ -5,15 +5,21 @@ the differentiable expected size under mixing weights.
 A group key is a tuple ``(section, block, group)`` such as
 ``("enc", 0, "fd")``. Only ``ArchSpace`` knows a block's groups: encoder
 blocks fd/ah/adim/ck, decoder blocks fd/ah/adim or split self/cross ones.
+
+The mixing weights of all groups travel as one flat vector in
+``groups()`` order (``GroupWeights``), laid out by ``ArchSpace.layout``.
+The expected size reads that vector in one recorded op.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
-from .tensor import Tensor
+from . import tensor as T
 
 
 _ENC_GROUPS = ("fd", "ah", "adim", "ck")
@@ -93,12 +99,93 @@ class ArchSpace:
                     out.append(((section, b, g), getattr(self, _GROUP_CHOICES[g])))
         return out
 
+    @cached_property
+    def layout(self):
+        """Where each group's weights sit in one flat vector (``GroupLayout``)."""
+        return GroupLayout(self)
+
+    @cached_property
+    def _size_terms(self):
+        return _SizeTerms(self)
+
     def to_json(self):
         return asdict(self)
 
     @staticmethod
     def from_json(d):
         return ArchSpace(**d)
+
+
+class GroupLayout:
+    """The groups of a space laid out in one flat vector, in ``groups()``
+    order, and as the rows of a (groups, widest group) array.
+
+    ``spans`` maps each key to its slice of the flat vector. ``padded``
+    puts a flat vector into the rows, filling the right of each row, and
+    ``flat`` reads it back. A row reduction adds a group's entries in the
+    order numpy adds the group's own vector, then the padding, so below
+    8 candidates per group it gives that vector's bits.
+    """
+
+    def __init__(self, space):
+        groups = space.groups()
+        self.keys = tuple(key for key, _ in groups)
+        sizes = [len(choices) for _, choices in groups]
+        width = max(sizes)
+        self.spans, self.row = {}, {}
+        pos, start = [], 0
+        for i, (key, n) in enumerate(zip(self.keys, sizes)):
+            self.spans[key] = slice(start, start + n)
+            self.row[key] = i
+            pos.extend(range(i * width, i * width + n))
+            start += n
+        self.size = start
+        self._shape = (len(groups), width)
+        self._pos = np.array(pos)
+        # each candidate's size, the expected size's per-group factors
+        self.choices = self.padded(
+            np.concatenate([np.asarray(c, dtype=np.float64) for _, c in groups]), 0.0)
+
+    def padded(self, flat, fill):
+        out = np.full(self._shape, fill)
+        out.ravel()[self._pos] = flat
+        return out
+
+    def flat(self, rows):
+        return rows.ravel()[self._pos]
+
+
+class GroupWeights(Mapping):
+    """Mixing weights of every group of ``space`` as one flat Tensor,
+    ``flat``, laid out by ``space.layout``.
+
+    It reads as the ``{group key: weight vector}`` dict that a single
+    group's reader takes: each read records a slice of ``flat``. Code
+    that takes every group at once (the supernet's column weights, the
+    expected size) reads ``flat`` and records no node per group.
+    """
+
+    def __init__(self, space, flat):
+        self.space = space
+        self.flat = flat
+
+    def __getitem__(self, key):
+        return self.flat[self.space.layout.spans[key]]
+
+    def __iter__(self):
+        return iter(self.space.layout.keys)
+
+    def __len__(self):
+        return len(self.space.layout.keys)
+
+
+def flat_weights(space, weights):
+    """``weights`` (group key -> weight vector) as one flat Tensor in
+    ``space.layout`` order: a ``GroupWeights``'s own vector, or else one
+    concat node over the groups' vectors."""
+    if isinstance(weights, GroupWeights) and weights.space == space:
+        return weights.flat
+    return T.concat([T.as_tensor(weights[key]) for key in space.layout.keys])
 
 
 def _key_str(key):
@@ -207,15 +294,83 @@ def param_count(space, arch):
     return int(_cost(space, lambda k: int(arch[k])))
 
 
+class _Poly:
+    """A polynomial in the group sizes with integer coefficients, as
+    {tuple of group rows: coefficient}. ``_cost`` run on one per group
+    gives its own terms exactly."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Poly) else _Poly({(): x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, c in _Poly.of(other).terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return _Poly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in _Poly.of(other).terms.items():
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return _Poly(out)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+class _SizeTerms:
+    """The linear and pairwise terms of ``_cost`` in the group sizes, for
+    the gradient of the expected size: one coefficient per group, and one
+    per pair (attention's heads times head dim)."""
+
+    def __init__(self, space):
+        row = space.layout.row
+        terms = _cost(space, lambda k: _Poly({(row[k],): 1})).terms
+        self.linear = np.zeros(len(row))
+        pairs = [(m, c) for m, c in terms.items() if len(m) == 2]
+        for mono, c in terms.items():
+            if len(mono) == 1:
+                self.linear[mono[0]] = c
+        self.left = np.array([m[0] for m, _ in pairs], dtype=np.intp)
+        self.right = np.array([m[1] for m, _ in pairs], dtype=np.intp)
+        self.pair = np.array([c for _, c in pairs], dtype=np.float64)
+
+    def gradient(self, e, g):
+        """d(g * size)/d(expected size) per group at expected sizes ``e``,
+        each product in the order the tape version of ``_cost`` takes it."""
+        out = g * self.linear
+        gp = g * self.pair
+        np.add.at(out, self.left, gp * e[self.right])
+        np.add.at(out, self.right, gp * e[self.left])
+        return out
+
+
 def expected_param_count(space, weights):
-    """Size expectation under per-group mixing weights, as a scalar Tensor.
+    """Size expectation under per-group mixing weights, as a scalar Tensor
+    recorded as one op.
 
-    ``weights`` maps group keys to weight-vector Tensors; the result
-    stays on their tape, so it is differentiable. Attention size uses
-    E[heads * dim] = E[heads] * E[dim], the groups being independent.
+    ``weights`` maps group keys to weight vectors (a ``GroupWeights`` or a
+    dict of Tensors); the result is on their tape, so it is
+    differentiable. Attention size uses E[heads * dim] = E[heads] * E[dim],
+    the groups being independent. The value is ``_cost`` of each group's
+    expected size; the gradient is closed form, since ``_cost`` is linear
+    in each group's size and bilinear in attention's (heads, head dim).
     """
-    def val(key):
-        opts = np.asarray(space.group_choices(key), dtype=np.float64)
-        return (weights[key] * Tensor(opts)).sum()
+    flat = flat_weights(space, weights)
+    lay = space.layout
+    e = (lay.padded(flat.data, 0.0) * lay.choices).sum(axis=1)
+    expect = e.tolist()
+    data = np.asarray(float(_cost(space, lambda k: expect[lay.row[k]])))
 
-    return _cost(space, val)
+    def bw(g):
+        if flat.requires_grad:
+            de = space._size_terms.gradient(e, g)
+            T._accumulate(flat, lay.flat(de[:, None] * lay.choices))
+
+    return T._from_op(data, (flat,), bw)

@@ -5,18 +5,27 @@ Each searchable sub-module keeps one max-size buffer per parameter and
 is the only place that knows how a choice maps onto it: feed-forward
 candidates take the leading hidden units, attention candidates the
 leading heads and head dims, kernel candidates the center taps of the
-widest depthwise kernel. A module has one forward entry, taking its
-mixing weights (one tensor per group) or a concrete choice, and one
-``export``, returning the parameter arrays a choice reads by full name;
-both use the same slice helper, so a one-hot mixture, the direct
+widest depthwise kernel. A module knows the group keys it reads. It has
+one forward entry, taking its column weights or a concrete choice, and
+one ``export``, returning the parameter arrays a choice reads by full
+name; both use the same slice helper, so a one-hot mixture, the direct
 single-branch forward and the materialized model agree numerically.
 Every module mixes by one rule: loop over a candidate's nonlinear part
-only, fold the mixture into per-column weights, then project once.
+only, weight its output columns, then project once.
 
-Blocks take one selector, a mixing-weight dict or a ``DerivedArch``,
-both indexed by group key. A materialized model reuses the blocks with
-buffers sized to its architecture and selects with its own arch. Each
-model's ``batch_loss`` applies the hybrid objective to its forward.
+Column weights fold the mixture into one weight per output column of a
+candidate's nonlinear part: the summed mixing weight of the candidates
+that read the column. ``ConformerSupernet.mixed_forward`` makes them,
+one op per module per step from the flat mixing weights
+(``space.GroupWeights``): each column's prefix sum of the widths and
+heads wide enough to read it for feed-forward and attention, and the
+per-kernel weights and their sum for conv.
+
+Blocks take one selector: each searchable module's column weights or
+concrete choice, keyed by the module. A materialized model reuses the
+blocks with buffers sized to its architecture and selects with its own
+arch. Each model's ``batch_loss`` applies the hybrid objective to its
+forward.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import IncompatibleCheckpointError
 from .losses import hybrid_batch_loss
-from .space import DerivedArch
+from .space import DerivedArch, GroupWeights, flat_weights
 from .tensor import ShapeError, Tensor
 
 
@@ -143,15 +152,33 @@ def _prefix_mask(choices, width):
 class SearchableFF:
     """Macaron-style feed-forward with a searchable hidden width."""
 
-    def __init__(self, build, prefix, d, choices, width):
+    def __init__(self, build, prefix, d, choices, width, key):
         self.prefix = prefix
+        self.keys = (key,)
         self.choices = tuple(choices)
         self.width = width
         self.w1 = build(prefix + ".w1", (d, width), "xavier")
         self.b1 = build(prefix + ".b1", (width,), "zeros")
         self.w2 = build(prefix + ".w2", (width, d), "xavier")
         self.b2 = build(prefix + ".b2", (d,), "zeros")
-        self._prefix_cols = Tensor(_prefix_mask(self.choices, width))
+        self._prefix_cols = _prefix_mask(self.choices, width)
+
+    def choice(self, arch):
+        return arch[self.keys[0]]
+
+    def column_weights(self, flat, spans):
+        """Each hidden column's weight, the summed mixing weight of the
+        widths that read it, as one op on the flat mixing weights; ``spans``
+        maps a group key to its slice of ``flat``."""
+        part = spans[self.keys[0]]
+        cols = self._prefix_cols
+        data = (flat.data[part][None, :] @ cols).reshape(self.width)
+
+        def bw(g):
+            if flat.requires_grad:
+                T._grad_buffer(flat)[part] += (g.reshape(1, -1) @ cols.T).reshape(-1)
+
+        return T._from_op(data, (flat,), bw)
 
     def _slice(self, fd, w1, b1, w2):
         if fd == self.width:
@@ -159,13 +186,12 @@ class SearchableFF:
         return w1[:, :fd], b1[:fd], w2[:fd, :]
 
     def __call__(self, x, sel):
-        """``sel``: mixing weights over ``choices`` (Tensor) or a width."""
+        """``sel``: column weights (Tensor) or a width."""
         if isinstance(sel, Tensor):
             # sum_i lam_i * branch_i(x) collapses to one pass with per-column
             # cumulative weights, since column j feeds every branch wider than j
             h = T.swish(T.linear(x, self.w1, self.b1))
-            colw = (sel.reshape(1, -1) @ self._prefix_cols).reshape(self.width)
-            return T.linear(h * colw, self.w2, self.b2)
+            return T.linear(h * sel, self.w2, self.b2)
         w1, b1, w2 = self._slice(sel, self.w1, self.b1, self.w2)
         return T.linear(T.swish(T.linear(x, w1, b1)), w2, self.b2)
 
@@ -179,8 +205,9 @@ class SearchableAttention:
 
     _IN = ("wq", "bq", "wk", "bk", "wv", "bv")
 
-    def __init__(self, build, prefix, d, h_choices, a_choices, h_max, a_max):
+    def __init__(self, build, prefix, d, h_choices, a_choices, h_max, a_max, keys):
         self.prefix = prefix
+        self.keys = tuple(keys)  # (heads, head dim)
         self.d = d
         self.h_choices = tuple(h_choices)
         self.a_choices = tuple(a_choices)
@@ -199,7 +226,34 @@ class SearchableAttention:
         # (h, a) reads column (head j, dim i) iff j < h and i < a
         heads = np.repeat(_prefix_mask(self.h_choices, h_max), a_max, axis=1)
         dims = np.tile(_prefix_mask(self.a_choices, a_max), h_max)
-        self._cols = [Tensor(heads * dm) for dm in dims]
+        self._cols = [heads * dm for dm in dims]
+
+    def choice(self, arch):
+        return tuple(arch[k] for k in self.keys)
+
+    def column_weights(self, flat, spans):
+        """One row per head dim ``a_choices[i]``: the weight of each packed
+        context column in the attention over that head dim, the summed
+        weight of the (heads, dim) candidates that read it. One op on the
+        flat mixing weights; ``spans`` maps a group key to its slice."""
+        part_h, part_a = (spans[k] for k in self.keys)
+        lam_h = flat.data[part_h][None, :]
+        lam_a = flat.data[part_a]
+        heads_w = [(lam_h @ c).reshape(-1) for c in self._cols]
+        data = np.stack([hw * lam_a[i] for i, hw in enumerate(heads_w)])
+
+        def bw(g):
+            if flat.requires_grad:
+                g_h = 0.0
+                g_a = np.empty(len(self._cols))
+                for i, c in enumerate(self._cols):
+                    g_h = g_h + ((g[i] * lam_a[i])[None, :] @ c.T).reshape(-1)
+                    g_a[i] = (g[i] * heads_w[i]).sum()
+                buf = T._grad_buffer(flat)
+                buf[part_h] += g_h
+                buf[part_a] += g_a
+
+        return T._from_op(data, (flat,), bw)
 
     def _in_slice(self, w, h, a):
         # input projections (d, H*A) and their biases (H*A,): heads packed
@@ -218,12 +272,11 @@ class SearchableAttention:
         y = T.linear(x, self._in_slice(w, h, a), self._in_slice(b, h, a))
         return y.reshape(*x.shape[:2], h, a)
 
-    def __call__(self, x_q, x_kv, sel_h, sel_a, key_pad=None, causal=False):
-        """``sel_h``, ``sel_a``: mixing weights over ``h_choices`` and
-        ``a_choices`` (Tensors), or a head count and head dim."""
+    def __call__(self, x_q, x_kv, sel, key_pad=None, causal=False):
+        """``sel``: column weights (Tensor), or a (head count, head dim) pair."""
         b, t_q = x_q.shape[:2]
-        if not isinstance(sel_h, Tensor):
-            h, a = sel_h, sel_a
+        if not isinstance(sel, Tensor):
+            h, a = sel
             q = self._proj_in(self.wq, self.bq, x_q, h, a)
             k = self._proj_in(self.wk, self.bk, x_kv, h, a)
             v = self._proj_in(self.wv, self.bv, x_kv, h, a)
@@ -234,17 +287,14 @@ class SearchableAttention:
         qf = self._proj_in(self.wq, self.bq, x_q, self.h_max, self.a_max)
         kf = self._proj_in(self.wk, self.bk, x_kv, self.h_max, self.a_max)
         vf = self._proj_in(self.wv, self.bv, x_kv, self.h_max, self.a_max)
-        lam_h = sel_h.reshape(1, -1)
-        ctx = None
-        for ai, a in enumerate(self.a_choices):
+        ctxs = []
+        for a in self.a_choices:
             q, k = (qf, kf) if a == self.a_max else (qf[:, :, :, :a], kf[:, :, :, :a])
-            ctx_a = attn_core(q, k, vf, a, key_pad, causal)
-            colw = (lam_h @ self._cols[ai]).reshape(-1) * sel_a[ai]
-            term = ctx_a.reshape(b, t_q, -1) * colw
-            ctx = term if ctx is None else ctx + term
-        return T.linear(ctx, self.wo, self.bo)
+            ctxs.append(attn_core(q, k, vf, a, key_pad, causal).reshape(b, t_q, -1))
+        return T.linear(T.mix(ctxs, sel), self.wo, self.bo)
 
-    def export(self, h, a):
+    def export(self, choice):
+        h, a = choice
         arrays = [self._in_slice(getattr(self, n).data, h, a) for n in self._IN]
         arrays.append(self._out_slice(self.wo.data, h, a))
         return _export(self.prefix, self._IN + ("wo",), arrays)
@@ -253,8 +303,9 @@ class SearchableAttention:
 class SearchableConv:
     """Conformer convolution module with a searchable depthwise kernel."""
 
-    def __init__(self, build, prefix, d, choices, width):
+    def __init__(self, build, prefix, d, choices, width, key):
         self.prefix = prefix
+        self.keys = (key,)
         self.choices = tuple(choices)
         self.width = width
         self.pw1 = build(prefix + ".pw1", (d, 2 * d), "xavier")
@@ -265,6 +316,15 @@ class SearchableConv:
         self.pw2 = build(prefix + ".pw2", (d, d), "xavier")
         self.pb2 = build(prefix + ".pb2", (d,), "zeros")
 
+    def choice(self, arch):
+        return arch[self.keys[0]]
+
+    def column_weights(self, flat, spans):
+        """The per-kernel mixing weights, a slice of the flat weights, and
+        their sum, which the output bias keeps in the branch sum."""
+        lam = flat[spans[self.keys[0]]]
+        return lam, lam.sum()
+
     def _slice(self, ck, dw):
         # center taps
         lo = (self.width - ck) // 2
@@ -274,16 +334,15 @@ class SearchableConv:
         return T.swish(self.ln(T.depthwise_conv1d(u, self._slice(ck, self.dw), self.db)))
 
     def __call__(self, x, sel):
-        """``sel``: mixing weights over ``choices`` (Tensor) or a kernel size."""
+        """``sel``: column weights (a (weights, their sum) pair of Tensors)
+        or a kernel size."""
         u = T.glu(T.linear(x, self.pw1, self.pb1))
-        if not isinstance(sel, Tensor):
+        if not isinstance(sel, tuple):
             return T.linear(self._act(u, sel), self.pw2, self.pb2)
         # pw2 is linear; pb2 keeps the total mixing weight it has in the branch sum
-        y = None
-        for ki, ck in enumerate(self.choices):
-            term = self._act(u, ck) * sel[ki]
-            y = term if y is None else y + term
-        return T.linear(y, self.pw2, self.pb2 * sel.sum())
+        lam, total = sel
+        y = T.mix([self._act(u, ck) for ck in self.choices], lam)
+        return T.linear(y, self.pw2, self.pb2 * total)
 
     def export(self, ck):
         return _export(self.prefix, ("dw",), (self._slice(ck, self.dw.data),))
@@ -293,84 +352,62 @@ class SearchableConv:
 # blocks
 # ---------------------------------------------------------------------
 #
-# ``sel`` is a mixing-weight dict or a DerivedArch; both map group keys
-# to what the searchable modules take. ``arch`` sizes the buffers.
+# ``sel`` maps each searchable module to what it takes: its column weights
+# or its concrete choice. ``arch`` sizes the buffers.
+
+
+def _attention(build, prefix, space, keys, arch):
+    h, a = keys
+    return SearchableAttention(build, prefix, space.model_dim, space.head_choices,
+                               space.head_dim_choices, arch[h], arch[a], keys)
 
 
 class EncoderBlock:
     def __init__(self, build, space, b, arch):
         d = space.model_dim
         p = f"enc.{b}"
-        self.keys = {g: ("enc", b, g) for g in space.block_groups("enc")}
+        fd, ah, adim, ck = (("enc", b, g) for g in space.block_groups("enc"))
         self.ln_ff1 = _LN(build, p + ".ln_ff1", d)
-        self.ff1 = SearchableFF(build, p + ".ff1", d, space.ff_choices, arch[self.keys["fd"]])
+        self.ff1 = SearchableFF(build, p + ".ff1", d, space.ff_choices, arch[fd], fd)
         self.ln_attn = _LN(build, p + ".ln_attn", d)
-        self.attn = SearchableAttention(
-            build, p + ".attn", d, space.head_choices, space.head_dim_choices,
-            arch[self.keys["ah"]], arch[self.keys["adim"]],
-        )
+        self.attn = _attention(build, p + ".attn", space, (ah, adim), arch)
         self.ln_conv = _LN(build, p + ".ln_conv", d)
-        self.conv = SearchableConv(
-            build, p + ".conv", d, space.kernel_choices, arch[self.keys["ck"]]
-        )
+        self.conv = SearchableConv(build, p + ".conv", d, space.kernel_choices, arch[ck], ck)
         self.ln_ff2 = _LN(build, p + ".ln_ff2", d)
-        self.ff2 = SearchableFF(build, p + ".ff2", d, space.ff_choices, arch[self.keys["fd"]])
+        self.ff2 = SearchableFF(build, p + ".ff2", d, space.ff_choices, arch[fd], fd)
         self.ln_out = _LN(build, p + ".ln_out", d)
+        self.searchable = (self.ff1, self.attn, self.conv, self.ff2)
 
     def forward(self, x, pad, sel):
-        k = self.keys
-        x = x + self.ff1(self.ln_ff1(x), sel[k["fd"]]) * 0.5
+        x = x + self.ff1(self.ln_ff1(x), sel[self.ff1]) * 0.5
         a_in = self.ln_attn(x)
-        x = x + self.attn(a_in, a_in, sel[k["ah"]], sel[k["adim"]], key_pad=pad)
+        x = x + self.attn(a_in, a_in, sel[self.attn], key_pad=pad)
         c_in = T.masked_fill(self.ln_conv(x), pad[:, :, None], 0.0)
-        x = x + self.conv(c_in, sel[k["ck"]])
-        x = x + self.ff2(self.ln_ff2(x), sel[k["fd"]]) * 0.5
+        x = x + self.conv(c_in, sel[self.conv])
+        x = x + self.ff2(self.ln_ff2(x), sel[self.ff2]) * 0.5
         return self.ln_out(x)
-
-    def export(self, arch):
-        k = self.keys
-        return {
-            **self.ff1.export(arch[k["fd"]]),
-            **self.attn.export(arch[k["ah"]], arch[k["adim"]]),
-            **self.conv.export(arch[k["ck"]]),
-            **self.ff2.export(arch[k["fd"]]),
-        }
 
 
 class DecoderBlock:
     def __init__(self, build, space, b, arch):
         d = space.model_dim
         p = f"dec.{b}"
-        self.key_self, self.key_cross = space.attention_keys(b)
-        self.key_fd = ("dec", b, "fd")
+        key_self, key_cross = space.attention_keys(b)
+        fd = ("dec", b, "fd")
         self.ln_self = _LN(build, p + ".ln_self", d)
-        self.self_attn = SearchableAttention(
-            build, p + ".self_attn", d, space.head_choices, space.head_dim_choices,
-            arch[self.key_self[0]], arch[self.key_self[1]],
-        )
+        self.self_attn = _attention(build, p + ".self_attn", space, key_self, arch)
         self.ln_cross = _LN(build, p + ".ln_cross", d)
-        self.cross_attn = SearchableAttention(
-            build, p + ".cross_attn", d, space.head_choices, space.head_dim_choices,
-            arch[self.key_cross[0]], arch[self.key_cross[1]],
-        )
+        self.cross_attn = _attention(build, p + ".cross_attn", space, key_cross, arch)
         self.ln_ff = _LN(build, p + ".ln_ff", d)
-        self.ff = SearchableFF(build, p + ".ff", d, space.ff_choices, arch[self.key_fd])
+        self.ff = SearchableFF(build, p + ".ff", d, space.ff_choices, arch[fd], fd)
+        self.searchable = (self.self_attn, self.cross_attn, self.ff)
 
     def forward(self, x, enc, enc_pad, sel):
-        hs, ds = self.key_self
-        hc, dc = self.key_cross
         s_in = self.ln_self(x)
-        x = x + self.self_attn(s_in, s_in, sel[hs], sel[ds], causal=True)
+        x = x + self.self_attn(s_in, s_in, sel[self.self_attn], causal=True)
         c_in = self.ln_cross(x)
-        x = x + self.cross_attn(c_in, enc, sel[hc], sel[dc], key_pad=enc_pad)
-        return x + self.ff(self.ln_ff(x), sel[self.key_fd])
-
-    def export(self, arch):
-        return {
-            **self.self_attn.export(*(arch[k] for k in self.key_self)),
-            **self.cross_attn.export(*(arch[k] for k in self.key_cross)),
-            **self.ff.export(arch[self.key_fd]),
-        }
+        x = x + self.cross_attn(c_in, enc, sel[self.cross_attn], key_pad=enc_pad)
+        return x + self.ff(self.ln_ff(x), sel[self.ff])
 
 
 # ---------------------------------------------------------------------
@@ -414,9 +451,14 @@ class _ConformerCore:
         self.params = build.params
         self._init_kinds = build.kinds
         self._pos = {}
+        self.searchable = [m for blk in self.enc_blocks + self.dec_blocks for m in blk.searchable]
 
     def named_parameters(self):
         return dict(self.params)
+
+    def _choices(self, arch):
+        """The selector of ``arch``: each searchable module's concrete choice."""
+        return {m: m.choice(arch) for m in self.searchable}
 
     def _posenc(self, length):
         if length not in self._pos:
@@ -487,21 +529,27 @@ def one_hot_weights(space, arch):
 
 
 def _check_weights(space, weights, tol=1e-6):
-    checked = {}
-    for key, opts in space.groups():
-        if key not in weights:
-            raise ValueError(f"mixing weights missing group {key}")
-        lam = weights[key] if isinstance(weights[key], Tensor) else Tensor(weights[key])
-        if lam.shape != (len(opts),):
-            raise ShapeError(f"mixing weights for {key}: shape {lam.shape} != ({len(opts)},)")
-        s = float(lam.data.sum())
-        if not abs(s - 1.0) <= tol or (lam.data < -tol).any():
-            raise ValueError(
-                f"mixing weights for {key} must be nonnegative and sum to 1 "
-                f"within {tol}, got sum {s}"
-            )
-        checked[key] = lam
-    return checked
+    """The mixing weights as one flat Tensor (``space.flat_weights``), each
+    group checked: present, of its length, nonnegative, summing to 1."""
+    lay = space.layout
+    if not (isinstance(weights, GroupWeights) and weights.space == space):
+        for key, opts in space.groups():
+            if key not in weights:
+                raise ValueError(f"mixing weights missing group {key}")
+            shape = T.as_tensor(weights[key]).shape
+            if shape != (len(opts),):
+                raise ShapeError(f"mixing weights for {key}: shape {shape} != ({len(opts)},)")
+    flat = flat_weights(space, weights)
+    rows = lay.padded(flat.data, 0.0)
+    sums = rows.sum(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= tol) | (rows < -tol).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"mixing weights for {lay.keys[i]} must be nonnegative and sum to 1 "
+            f"within {tol}, got sum {float(sums[i])}"
+        )
+    return flat
 
 
 class ConformerSupernet(_ConformerCore):
@@ -511,9 +559,15 @@ class ConformerSupernet(_ConformerCore):
         super().__init__(space, DerivedArch.maximal(space), seed, weights)
 
     def mixed_forward(self, batch, weights):
-        """Forward with every searchable sub-module mixing its branches."""
-        lam = _check_weights(self.space, weights)
-        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, lam)
+        """Forward with every searchable sub-module mixing its branches.
+
+        ``weights`` maps group keys to weight vectors (a ``GroupWeights``
+        or a dict). Each module's column weights are made here, one op per
+        module, from the flat weights."""
+        flat = _check_weights(self.space, weights)
+        spans = self.space.layout.spans
+        sel = {m: m.column_weights(flat, spans) for m in self.searchable}
+        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, sel)
 
     def batch_loss(self, batch, weights):
         """Hybrid loss of the mixed forward; the search step's task interface."""
@@ -522,15 +576,16 @@ class ConformerSupernet(_ConformerCore):
     def one_hot_forward(self, batch, arch):
         """Forward running only the branches selected by ``arch``."""
         arch.validate(self.space)
-        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, arch)
+        return self._forward(batch.features, batch.feat_lens, batch.tokens_in,
+                             self._choices(arch))
 
     def sliced_weights(self, arch):
         """The parameter subset a derived arch uses, as slices and views of
         the supernet's buffers; a model built from them copies each array."""
         arch.validate(self.space)
         out = {name: p.data for name, p in self.params.items()}
-        for blk in self.enc_blocks + self.dec_blocks:
-            out.update(blk.export(arch))
+        for m in self.searchable:
+            out.update(m.export(m.choice(arch)))
         return out
 
     def materialize(self, arch, init="inherit", seed=0):
@@ -549,23 +604,24 @@ class DerivedModel(_ConformerCore):
         arch.validate(space)
         self.arch = arch
         super().__init__(space, arch, seed, weights)
+        self._sel = self._choices(arch)
 
     def param_count(self):
         return sum(p.data.size for p in self.params.values())
 
     def forward(self, batch):
-        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, self.arch)
+        return self._forward(batch.features, batch.feat_lens, batch.tokens_in, self._sel)
 
     def batch_loss(self, batch):
         return self._hybrid_loss(self.forward(batch), batch)
 
     def forward_encoder(self, features, lens):
-        enc, enc_lens, _ = self._encode(features, lens, self.arch)
+        enc, enc_lens, _ = self._encode(features, lens, self._sel)
         return enc, enc_lens
 
     def forward_decoder(self, enc, enc_lens, tokens_in):
         pad = self._pad_mask(enc_lens, enc.shape[1])
-        return self._decode(enc, pad, tokens_in, self.arch)
+        return self._decode(enc, pad, tokens_in, self._sel)
 
     def reinit_output_layers(self, rng):
         """Redraw the token output projections (decoder head and CTC head)."""

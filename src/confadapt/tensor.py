@@ -5,7 +5,8 @@ losses need, plus ``transpose``, ``concat``, ``logsumexp`` and
 ``sigmoid``, which only tests call (the tape attention and CTC oracles,
 op tests, criterion 1). Attention and every affine projection are one
 structured op each, ``attention`` and ``linear``, with a closed-form
-backward, like ``layer_norm``, ``depthwise_conv1d`` and the CTC loss.
+backward, like ``layer_norm``, ``depthwise_conv1d`` and the CTC loss;
+so is a weighted sum of branch outputs, ``mix``.
 Constraints that keep the gradient rules small and testable:
 
 - all values are 64-bit floats,
@@ -702,6 +703,43 @@ def attention(q, k, v, mask, scale):
             _accumulate(v, np.transpose(np.swapaxes(p, -1, -2) @ dc, (0, 2, 1, 3)))
 
     return _from_op(data, (q, k, v), bw)
+
+
+def mix(terms, weights):
+    """Weighted sum ``sum_i terms[i] * weights[i]``, recorded as one op.
+
+    The terms share one shape; ``weights`` is (len(terms), *tail), where
+    ``tail`` is a trailing part of that shape (empty for one scalar per
+    term), so row i broadcasts over the leading dims of term i. Values and
+    gradients are those of the chain of ``mul`` and ``add`` nodes it
+    replaces, bit for bit.
+    """
+    terms = [as_tensor(t) for t in terms]
+    weights = as_tensor(weights)
+    shape = terms[0].data.shape if terms else None
+    tail = weights.data.shape[1:]
+    if (not terms or weights.data.ndim < 1 or weights.data.shape[0] != len(terms)
+            or any(t.data.shape != shape for t in terms)
+            or len(tail) > len(shape) or shape[len(shape) - len(tail):] != tail):
+        raise ShapeError(
+            f"mix: weights {weights.data.shape} do not conform to "
+            f"{len(terms)} terms of shapes {[t.data.shape for t in terms]}")
+    data = terms[0].data * weights.data[0]
+    tmp = np.empty_like(data)
+    for t, w in zip(terms[1:], weights.data[1:]):
+        data += np.multiply(t.data, w, out=tmp)
+
+    def bw(g):
+        gw = np.empty_like(weights.data) if weights.requires_grad else None
+        for i, (t, w) in enumerate(zip(terms, weights.data)):
+            if t.requires_grad:
+                _accumulate(t, g * w)
+            if gw is not None:
+                gw[i] = _reduce_to(g * t.data, tail)
+        if gw is not None:
+            _accumulate(weights, gw)
+
+    return _from_op(data, terms + [weights], bw)
 
 
 def masked_fill(x, mask, value):

@@ -17,11 +17,12 @@ from confadapt.search import (
     sample_weights,
     _require_finite,
 )
-from confadapt.space import ArchSpace, DerivedArch, param_count
+from confadapt import tensor as T
+from confadapt.space import ArchSpace, DerivedArch, _cost, expected_param_count, param_count
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import Tensor, backward
 
-from test_supernet import SPACE, rand_batch
+from test_supernet import ORACLE_SPACES, SPACE, rand_batch, space_id
 
 TOY_SPACE = ArchSpace(
     model_dim=4, feat_dim=4, vocab_size=6, encoder_blocks=1, decoder_blocks=1,
@@ -104,6 +105,15 @@ class TestSampleWeights:
         backward((lam[key] * Tensor([1.0, 2.0])).sum())
         assert np.abs(logits.groups[key].grad).max() > 0
 
+    def test_reads_as_a_dict_in_group_order(self):
+        lam = sample_weights(toy_logits(), rng=np.random.default_rng(2))
+        assert list(lam) == [key for key, _ in TOY_SPACE.groups()]
+        assert len(lam) == len(TOY_SPACE.groups())
+        for key, vec in lam.items():
+            assert vec.shape == (len(TOY_SPACE.group_choices(key)),)
+        with pytest.raises(KeyError):
+            lam[("enc", 1, "fd")]
+
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2, 3), (4, 3, 4, 3)])
     def test_one_noise_draw_equals_the_per_group_draws(self, sizes):
         # sample_weights draws every group's noise in one call
@@ -135,6 +145,106 @@ class TestSampleWeights:
             assert vec.data.size == 1 or np.abs(vec.data).max() > 0, key
             e = np.exp(vec.data - vec.data.max())
             np.testing.assert_allclose(lam[key].data, e / e.sum(), rtol=0, atol=1e-15)
+
+
+def tape_sample_weights(logits, rng=None, temperature=1.0):
+    """Per-group tape sampling, the oracle of ``sample_weights``: one noise
+    draw per group, then add, scale and softmax nodes per group."""
+    out = {}
+    for key, vec in logits.groups.items():
+        if rng is None:
+            noise = np.zeros(vec.shape)
+        else:
+            u = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=vec.shape)
+            noise = -np.log(-np.log(u))
+        out[key] = T.softmax((vec + Tensor(noise)) * (1.0 / temperature), axis=-1)
+    return out
+
+
+def tape_expected_param_count(space, weights):
+    """``_cost`` on the tape, the oracle of ``expected_param_count``: each
+    group's expected size is a product and a sum node, each term of the
+    formula a node of its own."""
+    def val(key):
+        opts = np.asarray(space.group_choices(key), dtype=np.float64)
+        return (weights[key] * Tensor(opts)).sum()
+
+    return _cost(space, val)
+
+
+def random_logits(space, seed, eta=0.0):
+    logits = ArchLogits(space, eta=eta)
+    draw = np.random.default_rng(seed)
+    for vec in logits.groups.values():
+        vec.data[...] = draw.normal(scale=2.0, size=vec.shape)
+    return logits
+
+
+def values_and_logit_grads(logits, objective):
+    for vec in logits.groups.values():
+        vec.zero_grad()
+    out = objective()
+    backward(out)
+    return out, {k: v.grad.copy() for k, v in logits.groups.items()}
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=space_id)
+class TestAgainstTapeOracles:
+    """The one-op sampling and expected size against the per-group tape
+    code they replaced: values and logit gradients within 1e-12, relative
+    for the size."""
+
+    @pytest.mark.parametrize("rng_seed", [None, 12])
+    def test_sampling(self, space, rng_seed):
+        logits = random_logits(space, 3)
+        upstream = {k: Tensor(np.random.default_rng(4).normal(size=v.shape))
+                    for k, v in logits.groups.items()}
+        results = []
+        for sample in (sample_weights, tape_sample_weights):
+            rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+            lam = {}
+
+            def objective():
+                lam.update(sample(logits, rng=rng, temperature=0.7))
+                return T.concat([(lam[k] * upstream[k]).sum().reshape(1) for k in lam]).sum()
+
+            _, grads = values_and_logit_grads(logits, objective)
+            state = None if rng is None else rng.bit_generator.state
+            results.append(({k: t.data for k, t in lam.items()}, grads, state))
+        (got, got_grads, got_state), (want, want_grads, want_state) = results
+        assert got_state == want_state
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_grads[key], want_grads[key], rtol=0, atol=1e-12)
+
+    def test_expected_size(self, space):
+        logits = random_logits(space, 5)
+        results = [values_and_logit_grads(logits, lambda: size(space, weights(logits)) * 1e-3)
+                   for size, weights in ((expected_param_count, expected_weights),
+                                         (tape_expected_param_count, tape_sample_weights))]
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got.item(), want.item(), rtol=1e-12)
+        scale = max(np.abs(g).max() for g in want_grads.values())
+        for key in want_grads:
+            np.testing.assert_allclose(got_grads[key], want_grads[key], rtol=0,
+                                       atol=1e-12 * scale)
+
+    def test_expected_size_of_plain_weight_vectors(self, space):
+        # a dict of leaf Tensors, as the tests and one-hot weights pass
+        draw = np.random.default_rng(6)
+        leaves = {k: Tensor(draw.dirichlet(np.ones(len(c))), requires_grad=True)
+                  for k, c in space.groups()}
+        results = []
+        for size in (expected_param_count, tape_expected_param_count):
+            for t in leaves.values():
+                t.zero_grad()
+            out = size(space, leaves)
+            backward(out)
+            results.append((out.item(), {k: t.grad.copy() for k, t in leaves.items()}))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for key in want_grads:
+            np.testing.assert_allclose(got_grads[key], want_grads[key], rtol=1e-12)
 
 
 class TestExpectedWeights:

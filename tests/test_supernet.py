@@ -45,6 +45,28 @@ GRID_SPACE = ArchSpace(
 )
 
 
+def oracle_spaces():
+    """Spaces whose groups hold 1 to 4 candidates, mixed within each space,
+    with split decoder attention off and on."""
+    out = []
+    for n in (1, 2, 3, 4):
+        base = ArchSpace(
+            model_dim=8, feat_dim=4, vocab_size=6, encoder_blocks=2, decoder_blocks=2,
+            ff_choices=(4, 8, 12, 16)[:n], head_choices=(1, 2, 3, 4)[:5 - n],
+            head_dim_choices=(1, 2, 3, 4)[:n], kernel_choices=(3, 5, 7, 9)[:5 - n],
+        )
+        out += [base, replace(base, split_decoder_attention=True)]
+    return out
+
+
+ORACLE_SPACES = oracle_spaces()
+
+
+def space_id(space):
+    return (f"fd{len(space.ff_choices)}-ah{len(space.head_choices)}"
+            + ("-split" if space.split_decoder_attention else ""))
+
+
 def rand_batch(space, b=2, t=17, l=3, draw=rng):
     feats = draw.normal(size=(b, t, space.feat_dim))
     lens = np.array([t] + [t - 4] * (b - 1))
@@ -138,6 +160,31 @@ def mixing_weights(n, draw):
     return Tensor(draw.dirichlet(np.ones(n)), requires_grad=True)
 
 
+def columns(module, *lams):
+    """``module``'s column weights from its groups' weight vectors, through
+    the op ``mixed_forward`` records, so gradients reach each vector."""
+    spans, start = {}, 0
+    for key, lam in zip(module.keys, lams):
+        spans[key] = slice(start, start + lam.shape[0])
+        start += lam.shape[0]
+    return module.column_weights(T.concat(list(lams)), spans)
+
+
+def tape_column_weights(module, *lams):
+    """The per-module tape expressions that the column-weight ops replaced,
+    kept as their oracle: prefix sums as a matmul per head dim (attention)
+    or per module (feed-forward), and per-kernel slices plus a sum (conv)."""
+    if isinstance(module, S.SearchableFF):
+        (lam,) = lams
+        return (lam.reshape(1, -1) @ Tensor(module._prefix_cols)).reshape(module.width)
+    if isinstance(module, S.SearchableAttention):
+        lam_h, lam_a = lams
+        return T.concat([((lam_h.reshape(1, -1) @ Tensor(c)).reshape(-1) * lam_a[i]).reshape(1, -1)
+                         for i, c in enumerate(module._cols)])
+    (lam,) = lams
+    return [lam[i] for i in range(len(module.choices))], lam.sum()
+
+
 def assert_same_on_tape(fn, oracle, leaves, seed, atol=1e-12):
     """``fn`` and ``oracle`` agree in output and in the gradient of every
     leaf under one random upstream gradient."""
@@ -212,7 +259,7 @@ class TestMixingLinearity:
             x = padded_input(space, draw)
             lam = mixing_weights(len(ff.choices), draw)
             assert_same_on_tape(
-                lambda: ff(x, lam),
+                lambda: ff(x, columns(ff, lam)),
                 lambda: weighted_sum((ff(x, c) - ff.b2) * lam[i]
                                      for i, c in enumerate(ff.choices)) + ff.b2,
                 [x, lam, ff.w1, ff.b1, ff.w2, ff.b2], seed)
@@ -229,7 +276,7 @@ class TestMixingLinearity:
         for seed, lam in enumerate(lams):
             x = padded_input(space, draw)
             assert_same_on_tape(
-                lambda: conv(x, lam),
+                lambda: conv(x, columns(conv, lam)),
                 lambda: weighted_sum(conv(x, c) * lam[i] for i, c in enumerate(conv.choices)),
                 [x, lam] + weights, seed)
 
@@ -244,13 +291,13 @@ class TestMixingLinearity:
 
             def oracle():
                 return weighted_sum(
-                    (att(x_q, x_kv, h, a, pad, causal) - att.bo) * (lam_h[hi] * lam_a[ai])
+                    (att(x_q, x_kv, (h, a), pad, causal) - att.bo) * (lam_h[hi] * lam_a[ai])
                     for hi, h in enumerate(att.h_choices)
                     for ai, a in enumerate(att.a_choices)) + att.bo
 
             weights = [getattr(att, n) for n in att._IN + ("wo", "bo")]
             assert_same_on_tape(
-                lambda: att(x_q, x_kv, lam_h, lam_a, pad, causal), oracle,
+                lambda: att(x_q, x_kv, columns(att, lam_h, lam_a), pad, causal), oracle,
                 [x_q, x_kv, lam_h, lam_a] + weights, seed)
 
     def test_fused_attention_matches_tape_oracle(self, net, monkeypatch):
@@ -272,10 +319,12 @@ class TestMixingLinearity:
             lam_a = mixing_weights(len(att.a_choices), draw)
             weights = [getattr(att, n) for n in att._IN + ("wo", "bo")]
             leaves = [x_q, x_kv, lam_h, lam_a] + weights
-            sels = [(lam_h, lam_a)] + [(h, a) for h in att.h_choices for a in att.a_choices]
-            for sel_h, sel_a in sels:
+            # None: the mixture, whose column weights join each recorded tape
+            sels = [None] + [(h, a) for h in att.h_choices for a in att.a_choices]
+            for sel in sels:
                 def fused():
-                    return att(x_q, x_kv, sel_h, sel_a, pad, causal)
+                    cols = columns(att, lam_h, lam_a) if sel is None else sel
+                    return att(x_q, x_kv, cols, pad, causal)
 
                 def oracle():
                     with monkeypatch.context() as m:
@@ -290,9 +339,32 @@ class TestMixingLinearity:
         ff = net.enc_blocks[0].ff1
         n = len(ff.choices)
         x = Tensor(np.zeros((1, 3, net.space.model_dim)))
-        mixed = ff(x, Tensor(np.full(n, 1.0 / n)))
+        mixed = ff(x, columns(ff, Tensor(np.full(n, 1.0 / n))))
         expect = sum(ff(x, c).data for c in ff.choices) / n
         np.testing.assert_allclose(mixed.data, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=space_id)
+def test_column_weights_match_the_tape_oracle(space):
+    net = ConformerSupernet(space, seed=0)
+    draw = np.random.default_rng(31)
+    for seed, module in enumerate(net.searchable):
+        lams = [mixing_weights(len(space.group_choices(k)), draw) for k in module.keys]
+        if isinstance(module, S.SearchableConv):
+            def fused():
+                lam, total = columns(module, *lams)
+                return T.concat([lam, total.reshape(1)])
+
+            def oracle():
+                per_kernel, total = tape_column_weights(module, *lams)
+                return T.concat([t.reshape(1) for t in per_kernel] + [total.reshape(1)])
+        else:
+            def fused():
+                return columns(module, *lams)
+
+            def oracle():
+                return tape_column_weights(module, *lams)
+        assert_same_on_tape(fused, oracle, lams, seed)
 
 
 class TestOneHotEquivalence:

@@ -108,6 +108,12 @@ REFUSED = {
                            "out of range"),
     "linear shapes": (lambda: T.linear(_zeros(2, 4), _zeros(3, 5), _zeros(5)), ShapeError,
                       "linear: shapes"),
+    "empty mix": (lambda: T.mix([], _zeros(0)), ShapeError, "mix"),
+    "mix weight count": (lambda: T.mix([_zeros(2, 3)] * 2, _zeros(3, 3)), ShapeError, "mix"),
+    "mix term shapes": (lambda: T.mix([_zeros(2, 3), _zeros(3, 3)], _zeros(2)), ShapeError,
+                        "mix"),
+    "mix weight tail": (lambda: T.mix([_zeros(2, 3)] * 2, _zeros(2, 2)), ShapeError, "mix"),
+    "mix weight rank": (lambda: T.mix([_zeros(3)] * 2, _zeros(2, 2, 3)), ShapeError, "mix"),
 }
 
 
@@ -376,6 +382,25 @@ class TestGradChecks:
             [_rand(2, 4, 2, 3), _rand(2, 4, 2, 3), _rand(2, 4, 2, 3)],
         )
 
+    @pytest.mark.parametrize("tail", [(), (4,), (3, 4)], ids=str)
+    def test_mix(self, tail):
+        w = Tensor(_rand(2, 3, 4))
+        check_grads(lambda a, b, c, m: (T.mix([a, b, c], m) * w).sum(),
+                    [_rand(2, 3, 4), _rand(2, 3, 4), _rand(2, 3, 4), _rand(3, *tail)])
+
+    def test_mix_equals_the_mul_and_add_chain(self):
+        # bit for bit, in value and in every gradient
+        values = [_rand(2, 3, 4), _rand(2, 3, 4), _rand(2, 4)]
+        g = Tensor(_rand(2, 3, 4))
+        results = []
+        for fused in (True, False):
+            a, b, m = (Tensor(v, requires_grad=True) for v in values)
+            out = T.mix([a, b], m) if fused else a * m[0] + b * m[1]
+            backward((out * g).sum())
+            results.append([out.data, a.grad, b.grad, m.grad])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
     def test_attention_padded_keys_get_exactly_zero_gradient(self):
         q, k, v = (Tensor(_rand(*s), requires_grad=True)
                    for s in ((2, 3, 2, 4), (2, 5, 2, 4), (2, 5, 2, 3)))
@@ -420,6 +445,8 @@ READ_ONLY_CASES = {
     "attention masked": (lambda q, k, v: T.attention(q, k, v, _CAUSAL, 0.5),
                          [(2, 4, 2, 3), (2, 4, 2, 3), (2, 4, 2, 3)]),
     "masked_fill": (lambda x: T.masked_fill(x, _CAUSAL, 5.0), [(4, 4)]),
+    "mix": (lambda a, b, w: T.mix([a, b], w), [(2, 3, 4), (2, 3, 4), (2, 4)]),
+    "mix scalar weights": (lambda a, b, w: T.mix([a, b], w), [(2, 3, 4), (2, 3, 4), (2,)]),
     "ctc_loss": (lambda x: ctc_loss(x, [6, 4, 2], [[1, 2, 2], [3], []]), [(3, 6, 5)]),
 }
 

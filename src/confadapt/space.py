@@ -182,10 +182,19 @@ class GroupWeights(Mapping):
 def flat_weights(space, weights):
     """``weights`` (group key -> weight vector) as one flat Tensor in
     ``space.layout`` order: a ``GroupWeights``'s own vector, or else one
-    concat node over the groups' vectors."""
+    concat node over the groups' vectors, each checked to be present and
+    of its group's length."""
     if isinstance(weights, GroupWeights) and weights.space == space:
         return weights.flat
-    return T.concat([T.as_tensor(weights[key]) for key in space.layout.keys])
+    parts = []
+    for key, opts in space.groups():
+        if key not in weights:
+            raise ValueError(f"mixing weights missing group {key}")
+        lam = T.as_tensor(weights[key])
+        if lam.shape != (len(opts),):
+            raise T.ShapeError(f"mixing weights for {key}: shape {lam.shape} != ({len(opts)},)")
+        parts.append(lam)
+    return T.concat(parts)
 
 
 def _key_str(key):

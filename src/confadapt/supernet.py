@@ -15,11 +15,11 @@ only, weight its output columns, then project once.
 
 Column weights fold the mixture into one weight per output column of a
 candidate's nonlinear part: the summed mixing weight of the candidates
-that read the column. ``ConformerSupernet.mixed_forward`` makes them,
-one op per module per step from the flat mixing weights
-(``space.GroupWeights``): each column's prefix sum of the widths and
-heads wide enough to read it for feed-forward and attention, and the
-per-kernel weights and their sum for conv.
+that read the column. ``ConformerSupernet.mixed_forward`` makes them
+once per step from the flat mixing weights (``space.GroupWeights``): one
+op per feed-forward or attention module, each column's prefix sum of the
+widths or heads wide enough to read it, and for conv its per-kernel
+weights (a slice) and their sum.
 
 Blocks take one selector: each searchable module's column weights or
 concrete choice, keyed by the module. A materialized model reuses the
@@ -555,8 +555,8 @@ class ConformerSupernet(_ConformerCore):
         """Forward with every searchable sub-module mixing its branches.
 
         ``weights`` maps group keys to weight vectors (a ``GroupWeights``
-        or a dict). Each module's column weights are made here, one op per
-        module, from the flat weights."""
+        or a dict). Each module's column weights are made here from the
+        flat weights: one op per module, a slice and a sum for conv."""
         flat = _check_weights(self.space, weights)
         spans = self.space.layout.spans
         sel = {m: m.column_weights(flat, spans) for m in self.searchable}

@@ -13,7 +13,6 @@ The expected size reads that vector in one recorded op.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 from functools import cached_property
 
@@ -155,46 +154,36 @@ class GroupLayout:
         return rows.ravel()[self._pos]
 
 
-class GroupWeights(Mapping):
+class GroupWeights:
     """Mixing weights of every group of ``space`` as one flat Tensor,
-    ``flat``, laid out by ``space.layout``.
+    ``flat``, laid out by ``space.layout``; ``flat`` must have shape
+    ``(space.layout.size,)``.
 
-    It reads as the ``{group key: weight vector}`` dict that a single
-    group's reader takes: each read records a slice of ``flat``. Code
-    that takes every group at once (the supernet's column weights, the
-    expected size) reads ``flat`` and records no node per group.
+    ``weights[key]`` reads one group's vector as a recorded slice of
+    ``flat``. Code that takes every group at once (the supernet's column
+    weights, the expected size) reads ``flat`` and records no node per
+    group.
     """
 
     def __init__(self, space, flat):
+        if flat.shape != (space.layout.size,):
+            raise T.ShapeError(
+                f"GroupWeights: flat shape {flat.shape} != ({space.layout.size},)")
         self.space = space
         self.flat = flat
 
     def __getitem__(self, key):
         return self.flat[self.space.layout.spans[key]]
 
-    def __iter__(self):
-        return iter(self.space.layout.keys)
-
-    def __len__(self):
-        return len(self.space.layout.keys)
-
 
 def flat_weights(space, weights):
-    """``weights`` (group key -> weight vector) as one flat Tensor in
-    ``space.layout`` order: a ``GroupWeights``'s own vector, or else one
-    concat node over the groups' vectors, each checked to be present and
-    of its group's length."""
+    """The flat Tensor of ``weights``, a ``GroupWeights`` of ``space``;
+    anything else raises ``TypeError``."""
     if isinstance(weights, GroupWeights) and weights.space == space:
         return weights.flat
-    parts = []
-    for key, opts in space.groups():
-        if key not in weights:
-            raise ValueError(f"mixing weights missing group {key}")
-        lam = T.as_tensor(weights[key])
-        if lam.shape != (len(opts),):
-            raise T.ShapeError(f"mixing weights for {key}: shape {lam.shape} != ({len(opts)},)")
-        parts.append(lam)
-    return T.concat(parts)
+    got = ("a GroupWeights of another space" if isinstance(weights, GroupWeights)
+           else type(weights).__name__)
+    raise TypeError(f"mixing weights must be a GroupWeights of this space, got {got}")
 
 
 def _key_str(key):
@@ -240,16 +229,8 @@ class DerivedArch:
         return DerivedArch({_key_parse(k): int(v) for k, v in d.items()})
 
     @staticmethod
-    def sample_uniform(space, rng):
-        return DerivedArch({k: opts[rng.integers(len(opts))] for k, opts in space.groups()})
-
-    @staticmethod
     def maximal(space):
         return DerivedArch({k: opts[-1] for k, opts in space.groups()})
-
-    @staticmethod
-    def minimal(space):
-        return DerivedArch({k: opts[0] for k, opts in space.groups()})
 
 
 # ---------------------------------------------------------------------
@@ -364,12 +345,12 @@ def expected_param_count(space, weights):
     """Size expectation under per-group mixing weights, as a scalar Tensor
     recorded as one op.
 
-    ``weights`` maps group keys to weight vectors (a ``GroupWeights`` or a
-    dict of Tensors); the result is on their tape, so it is
-    differentiable. Attention size uses E[heads * dim] = E[heads] * E[dim],
-    the groups being independent. The value is ``_cost`` of each group's
-    expected size; the gradient is closed form, since ``_cost`` is linear
-    in each group's size and bilinear in attention's (heads, head dim).
+    ``weights`` is a ``GroupWeights`` of ``space``; the result is on its
+    tape, so it is differentiable. Attention size uses
+    E[heads * dim] = E[heads] * E[dim], the groups being independent.
+    The value is ``_cost`` of each group's expected size; the gradient is
+    closed form, since ``_cost`` is linear in each group's size and
+    bilinear in attention's (heads, head dim).
     """
     flat = flat_weights(space, weights)
     lay = space.layout

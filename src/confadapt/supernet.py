@@ -39,7 +39,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import IncompatibleCheckpointError
 from .losses import hybrid_batch_loss
-from .space import DerivedArch, flat_weights
+from .space import DerivedArch, GroupWeights, flat_weights
 from .tensor import ShapeError, Tensor
 
 
@@ -520,17 +520,13 @@ class _ConformerCore:
 def one_hot_weights(space, arch):
     """Exact one-hot mixing weights selecting ``arch`` in every group."""
     arch.validate(space)
-    out = {}
-    for key, opts in space.groups():
-        lam = np.zeros(len(opts))
-        lam[opts.index(arch[key])] = 1.0
-        out[key] = Tensor(lam)
-    return out
+    hot = [np.asarray(opts) == arch[key] for key, opts in space.groups()]
+    return GroupWeights(space, Tensor(np.concatenate(hot).astype(np.float64)))
 
 
 def _check_weights(space, weights, tol=1e-6):
-    """The mixing weights as one flat Tensor (``space.flat_weights``), each
-    group nonnegative and summing to 1 within ``tol``."""
+    """The flat Tensor of ``weights`` (``space.flat_weights``), each group
+    nonnegative and summing to 1 within ``tol``."""
     lay = space.layout
     flat = flat_weights(space, weights)
     rows = lay.padded(flat.data, 0.0)
@@ -554,9 +550,9 @@ class ConformerSupernet(_ConformerCore):
     def mixed_forward(self, batch, weights):
         """Forward with every searchable sub-module mixing its branches.
 
-        ``weights`` maps group keys to weight vectors (a ``GroupWeights``
-        or a dict). Each module's column weights are made here from the
-        flat weights: one op per module, a slice and a sum for conv."""
+        ``weights`` is a ``GroupWeights`` of this supernet's space. Each
+        module's column weights are made here from its flat vector: one op
+        per module, a slice and a sum for conv."""
         flat = _check_weights(self.space, weights)
         spans = self.space.layout.spans
         sel = {m: m.column_weights(flat, spans) for m in self.searchable}

@@ -116,14 +116,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(scalar))
-
     def __matmul__(self, other):
         return matmul(self, other)
 

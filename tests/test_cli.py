@@ -13,7 +13,9 @@ from confadapt.cli import main
 from confadapt.pipeline import StageConfig, run_recipe
 from confadapt.report import arch_table, render_report, sweep as run_sweep
 from confadapt.data import Corpus, default_domain_pair
-from confadapt.space import ArchSpace, DerivedArch
+from confadapt.space import ArchSpace
+
+from util_arch import sample_arch
 
 
 def base_config(tmp_path):
@@ -204,7 +206,7 @@ class TestDumpArch:
                           decoder_blocks=2, ff_choices=(8, 16), head_choices=(1, 2),
                           head_dim_choices=(4, 8), kernel_choices=(3, 5),
                           split_decoder_attention=True)
-        arch = DerivedArch.sample_uniform(space, np.random.default_rng(3))
+        arch = sample_arch(space, np.random.default_rng(3))
         lines = arch_table(arch, space).splitlines()
         assert lines[0].split() == ["section", "block", "FD", "AH", "ADIM", "CK"]
         assert lines[3].split() == ["section", "block", "FD", "AH_SELF", "ADIM_SELF",

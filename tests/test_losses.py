@@ -86,7 +86,7 @@ def tape_ctc_loss(log_probs, reference):
         total = T.logsumexp(alpha[s_len - 2:], axis=0)
     else:
         total = alpha[0]
-    return -total
+    return total * -1.0
 
 
 def ctc_single(x, ref):
@@ -252,7 +252,7 @@ def loop_attention_ce(decoder_logits, reference, smoothing=0.1):
     q = np.full((len(targets), vocab), smoothing / vocab)
     q[np.arange(len(targets)), targets] += 1.0 - smoothing
     lp = T.log_softmax(decoder_logits, axis=-1)
-    return -(lp * Tensor(q)).sum() / len(targets)
+    return ((lp * Tensor(q)).sum() * -1.0) * (1.0 / len(targets))
 
 
 def loop_hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs):
@@ -263,7 +263,7 @@ def loop_hybrid_batch_loss(ctc_logprobs, enc_lens, dec_logits, token_seqs):
         a = loop_attention_ce(dec_logits[i, : len(ref) + 1], ref)
         h = hybrid_loss(ctc[i], a)
         total = h if total is None else total + h
-    return total / len(token_seqs)
+    return total * (1.0 / len(token_seqs))
 
 
 def ce_single(x, ref, smoothing=0.1):

@@ -13,9 +13,11 @@ import pytest
 from confadapt.data import Batch
 from confadapt.losses import EOS_ID, SOS_ID
 from confadapt.search import ArchLogits, penalized_loss, sample_weights
-from confadapt.space import ArchSpace, DerivedArch
+from confadapt.space import ArchSpace
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import backward, no_grad
+
+from util_arch import sample_arch
 
 # the space of the criterion-9 recipe
 SPACE = ArchSpace(
@@ -103,7 +105,7 @@ def test_penalized_loss_over_the_logits(batch):
 
 
 def test_derived_model_loss_over_every_weight(batch):
-    arch = DerivedArch.sample_uniform(SPACE, np.random.default_rng(10))
+    arch = sample_arch(SPACE, np.random.default_rng(10))
     model = ConformerSupernet(SPACE, seed=3).materialize(arch)
     params = model.named_parameters()
     assert directional_error(lambda: model.batch_loss(batch), params, seed=11) < BOUND

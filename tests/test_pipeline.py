@@ -29,6 +29,8 @@ from confadapt.space import ArchSpace, DerivedArch
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import Tensor
 
+from util_arch import minimal_arch
+
 SPACE = ArchSpace(
     model_dim=16, feat_dim=6, vocab_size=9, encoder_blocks=1, decoder_blocks=1,
     ff_choices=(8, 16), head_choices=(1, 2), head_dim_choices=(4, 8),
@@ -90,7 +92,7 @@ class TestCheckpointRoundTrip:
     def test_truncated_file_or_missing_section_names_path(self, tmp_path):
         weights = {n: p.data for n, p in ConformerSupernet(SPACE, seed=0).params.items()}
         good = tmp_path / "good.ckpt"
-        Checkpoint(kind="model", space=SPACE, weights=weights, arch=DerivedArch.minimal(SPACE),
+        Checkpoint(kind="model", space=SPACE, weights=weights, arch=minimal_arch(SPACE),
                    lineage=[{"stage": "p"}]).save(good)
         blob = good.read_bytes()
         bad = tmp_path / "bad.ckpt"

@@ -18,11 +18,14 @@ from confadapt.search import (
     _require_finite,
 )
 from confadapt import tensor as T
-from confadapt.space import ArchSpace, DerivedArch, _cost, expected_param_count, param_count
+from confadapt.space import (
+    ArchSpace, DerivedArch, GroupWeights, _cost, expected_param_count, param_count,
+)
 from confadapt.supernet import ConformerSupernet
 from confadapt.tensor import Tensor, backward
 
 from test_supernet import ORACLE_SPACES, SPACE, rand_batch, space_id
+from util_arch import minimal_arch, sample_arch
 
 TOY_SPACE = ArchSpace(
     model_dim=4, feat_dim=4, vocab_size=6, encoder_blocks=1, decoder_blocks=1,
@@ -39,9 +42,9 @@ class TestSampleWeights:
     def test_equal_logits_zero_noise_uniform(self):
         logits = toy_logits()
         lam = sample_weights(logits, rng=None, temperature=0.37)
-        for key, vec in lam.items():
+        for key in TOY_SPACE.layout.keys:
             n = len(TOY_SPACE.group_choices(key))
-            np.testing.assert_allclose(vec.data, np.full(n, 1 / n), atol=1e-12)
+            np.testing.assert_allclose(lam[key].data, np.full(n, 1 / n), atol=1e-12)
 
     def test_constant_shift_invariance_same_noise(self):
         logits_a = toy_logits()
@@ -76,7 +79,8 @@ class TestSampleWeights:
             logits.groups[key].data[...] = rng.normal(size=logits.groups[key].shape)
         for _ in range(100):
             lam = sample_weights(logits, rng=rng)
-            for vec in lam.values():
+            for key in logits.groups:
+                vec = lam[key]
                 assert abs(vec.data.sum() - 1.0) < 1e-9
                 assert (vec.data >= 0).all()
 
@@ -105,12 +109,15 @@ class TestSampleWeights:
         backward((lam[key] * Tensor([1.0, 2.0])).sum())
         assert np.abs(logits.groups[key].grad).max() > 0
 
-    def test_reads_as_a_dict_in_group_order(self):
+    def test_reads_each_group_as_its_span_in_group_order(self):
         lam = sample_weights(toy_logits(), rng=np.random.default_rng(2))
-        assert list(lam) == [key for key, _ in TOY_SPACE.groups()]
-        assert len(lam) == len(TOY_SPACE.groups())
-        for key, vec in lam.items():
-            assert vec.shape == (len(TOY_SPACE.group_choices(key)),)
+        keys = TOY_SPACE.layout.keys
+        assert list(keys) == [key for key, _ in TOY_SPACE.groups()]
+        for key in keys:
+            assert lam[key].shape == (len(TOY_SPACE.group_choices(key)),)
+        # the spans, in group order, tile the flat vector
+        whole = np.concatenate([lam[key].data for key in keys])
+        assert whole.tobytes() == lam.flat.data.tobytes()
         with pytest.raises(KeyError):
             lam[("enc", 1, "fd")]
 
@@ -205,7 +212,8 @@ class TestAgainstTapeOracles:
             lam = {}
 
             def objective():
-                lam.update(sample(logits, rng=rng, temperature=0.7))
+                out = sample(logits, rng=rng, temperature=0.7)
+                lam.update((k, out[k]) for k in space.layout.keys)
                 return T.concat([(lam[k] * upstream[k]).sum().reshape(1) for k in lam]).sum()
 
             _, grads = values_and_logit_grads(logits, objective)
@@ -230,21 +238,21 @@ class TestAgainstTapeOracles:
                                        atol=1e-12 * scale)
 
     def test_expected_size_of_plain_weight_vectors(self, space):
-        # a dict of leaf Tensors, as the tests and one-hot weights pass
+        # one leaf vector, not a softmax of logits
         draw = np.random.default_rng(6)
-        leaves = {k: Tensor(draw.dirichlet(np.ones(len(c))), requires_grad=True)
-                  for k, c in space.groups()}
+        flat = Tensor(np.concatenate([draw.dirichlet(np.ones(len(c))) for _, c in space.groups()]),
+                      requires_grad=True)
         results = []
         for size in (expected_param_count, tape_expected_param_count):
-            for t in leaves.values():
-                t.zero_grad()
-            out = size(space, leaves)
+            flat.zero_grad()
+            out = size(space, GroupWeights(space, flat))
             backward(out)
-            results.append((out.item(), {k: t.grad.copy() for k, t in leaves.items()}))
-        (got, got_grads), (want, want_grads) = results
+            results.append((out.item(), flat.grad.copy()))
+        (got, got_grad), (want, want_grad) = results
         np.testing.assert_allclose(got, want, rtol=1e-12)
-        for key in want_grads:
-            np.testing.assert_allclose(got_grads[key], want_grads[key], rtol=1e-12)
+        for key, span in space.layout.spans.items():
+            np.testing.assert_allclose(got_grad[span], want_grad[span], rtol=1e-12,
+                                       err_msg=str(key))
 
 
 class TestExpectedWeights:
@@ -278,7 +286,7 @@ class TestPenalizedLoss:
             hot = np.full(len(opts), -200.0)
             hot[0] = 200.0
             vec.data[...] = hot if len(opts) > 1 else [0.0]
-        arch = DerivedArch.minimal(TOY_SPACE)
+        arch = minimal_arch(TOY_SPACE)
         out = penalized_loss(Tensor(0.0), logits)
         np.testing.assert_allclose(out.item(), 0.01 * param_count(TOY_SPACE, arch), rtol=1e-12)
 
@@ -289,7 +297,7 @@ class TestPenalizedLoss:
         counts = []
         rng = np.random.default_rng(4)
         for _ in range(64):
-            arch = DerivedArch.sample_uniform(TOY_SPACE, rng)
+            arch = sample_arch(TOY_SPACE, rng)
             counts.append(net.materialize(arch, init="inherit").param_count())
         # with three binary groups the uniform expectation is the mean over
         # the full grid; the sampled mean converges there, the exact value

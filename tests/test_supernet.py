@@ -11,6 +11,7 @@ from confadapt.losses import SOS_ID, EOS_ID, hybrid_batch_loss
 from confadapt.space import (
     ArchSpace,
     DerivedArch,
+    GroupWeights,
     expected_param_count,
     param_count,
     _linear_params,
@@ -20,6 +21,8 @@ from confadapt import tensor as T
 from confadapt.search import ArchLogits, sample_weights
 from confadapt.supernet import ConformerSupernet, one_hot_weights
 from confadapt.tensor import ShapeError, Tensor, backward, no_grad
+
+from util_arch import minimal_arch, sample_arch
 
 rng = np.random.default_rng(99)
 
@@ -91,8 +94,9 @@ def batch():
     return rand_batch(SPACE)
 
 
-def uniform_weights(space):
-    return {k: Tensor(np.full(len(c), 1.0 / len(c))) for k, c in space.groups()}
+def uniform_weights(space, requires_grad=False):
+    flat = np.concatenate([np.full(len(c), 1.0 / len(c)) for _, c in space.groups()])
+    return GroupWeights(space, Tensor(flat, requires_grad=requires_grad))
 
 
 def reference_sliced_weights(net, arch):
@@ -370,7 +374,7 @@ def test_column_weights_match_the_tape_oracle(space):
 class TestOneHotEquivalence:
     def test_one_hot_mixture_matches_direct_and_materialized(self, net, batch):
         for _ in range(3):
-            arch = DerivedArch.sample_uniform(net.space, rng)
+            arch = sample_arch(net.space, rng)
             mixed = net.mixed_forward(batch, one_hot_weights(net.space, arch))
             direct = net.one_hot_forward(batch, arch)
             model = net.materialize(arch, init="inherit")
@@ -383,7 +387,7 @@ class TestOneHotEquivalence:
                 np.testing.assert_allclose(b, c, atol=1e-9)
 
     def test_extreme_archs(self, net, batch):
-        for arch in (DerivedArch.maximal(net.space), DerivedArch.minimal(net.space)):
+        for arch in (DerivedArch.maximal(net.space), minimal_arch(net.space)):
             mixed = net.mixed_forward(batch, one_hot_weights(net.space, arch))
             direct = net.one_hot_forward(batch, arch)
             np.testing.assert_allclose(mixed.dec_logits.data, direct.dec_logits.data, atol=1e-6)
@@ -399,14 +403,14 @@ class TestOneHotEquivalence:
 
 class TestMaterialize:
     def test_fresh_init_reproducible(self, net):
-        arch = DerivedArch.sample_uniform(net.space, np.random.default_rng(3))
+        arch = sample_arch(net.space, np.random.default_rng(3))
         m1 = net.materialize(arch, init="fresh", seed=42)
         m2 = net.materialize(arch, init="fresh", seed=42)
         for name, p in m1.named_parameters().items():
             assert (p.data == m2.named_parameters()[name].data).all()
 
     def test_fresh_differs_from_inherit(self, net):
-        arch = DerivedArch.minimal(net.space)
+        arch = minimal_arch(net.space)
         fresh = net.materialize(arch, init="fresh", seed=1)
         inh = net.materialize(arch, init="inherit")
         assert any(
@@ -418,7 +422,7 @@ class TestMaterialize:
         # a fresh supernet, since this test writes into its parameters
         space = net.space
         net = ConformerSupernet(space, seed=0)
-        for arch in (DerivedArch.maximal(space), DerivedArch.minimal(space)):
+        for arch in (DerivedArch.maximal(space), minimal_arch(space)):
             model = net.materialize(arch, init="inherit")
             before = {n: p.data.copy() for n, p in model.named_parameters().items()}
             for p in net.params.values():
@@ -435,8 +439,8 @@ class TestMaterialize:
     def test_sliced_weights_match_reference_slicing(self, net):
         space = net.space
         pick = np.random.default_rng(17)
-        archs = [DerivedArch.maximal(space), DerivedArch.minimal(space)]
-        archs += [DerivedArch.sample_uniform(space, pick) for _ in range(10)]
+        archs = [DerivedArch.maximal(space), minimal_arch(space)]
+        archs += [sample_arch(space, pick) for _ in range(10)]
         for arch in archs:
             got = net.sliced_weights(arch)
             expect = reference_sliced_weights(net, arch)
@@ -453,12 +457,12 @@ class TestParamCounts:
 
     def test_formula_matches_enumeration_random_archs(self, net):
         for _ in range(5):
-            arch = DerivedArch.sample_uniform(net.space, rng)
+            arch = sample_arch(net.space, rng)
             model = net.materialize(arch, init="inherit")
             assert model.param_count() == param_count(net.space, arch)
 
     def test_one_hot_expected_equals_exact(self, net):
-        arch = DerivedArch.sample_uniform(net.space, np.random.default_rng(8))
+        arch = sample_arch(net.space, np.random.default_rng(8))
         w = one_hot_weights(net.space, arch)
         expect = expected_param_count(net.space, w)
         assert expect.item() == pytest.approx(param_count(net.space, arch), abs=1e-9)
@@ -543,13 +547,12 @@ class TestParamCountsSplit(_SplitSpace, TestParamCounts):
 
 class TestGradientsFlow:
     def test_weights_and_lambda_get_gradients(self, net, batch):
-        w = {k: Tensor(np.full(len(c), 1.0 / len(c)), requires_grad=True)
-             for k, c in SPACE.groups()}
+        w = uniform_weights(SPACE, requires_grad=True)
         out = net.mixed_forward(batch, w)
         loss = hybrid_batch_loss(out.ctc_logprobs, out.enc_lens, out.dec_logits, batch.token_seqs)
         backward(loss)
-        for k, lam in w.items():
-            assert np.abs(lam.grad).max() > 0, f"no gradient reached weights of {k}"
+        for k, span in SPACE.layout.spans.items():
+            assert np.abs(w.flat.grad[span]).max() > 0, f"no gradient reached weights of {k}"
         touched = [n for n, p in net.named_parameters().items() if np.abs(p.grad).max() > 0]
         assert any(n.startswith("enc.0.ff1") for n in touched)
         assert any(n.startswith("enc.1.attn") for n in touched)
@@ -614,8 +617,8 @@ class TestTapeSize:
     def test_materialized_model_reads_its_parameters_whole(self, space):
         net = ConformerSupernet(space, seed=0)
         draw = np.random.default_rng(4)
-        archs = [DerivedArch.maximal(space), DerivedArch.minimal(space)]
-        archs += [DerivedArch.sample_uniform(space, draw) for _ in range(3)]
+        archs = [DerivedArch.maximal(space), minimal_arch(space)]
+        archs += [sample_arch(space, draw) for _ in range(3)]
         batch = rand_batch(space)
         for arch in archs:
             model = net.materialize(arch)
@@ -627,7 +630,7 @@ class TestTapeSize:
     @pytest.mark.parametrize("space", [SPACE, SPLIT_SPACE], ids=["space", "split"])
     def test_attention_and_affine_projections_are_one_node_each(self, space):
         net = ConformerSupernet(space, seed=0)
-        model = net.materialize(DerivedArch.sample_uniform(space, np.random.default_rng(6)))
+        model = net.materialize(sample_arch(space, np.random.default_rng(6)))
         batch = rand_batch(space)
         for m, loss in ((model, model.batch_loss(batch)),
                         (net, net.batch_loss(batch, uniform_weights(space)))):
@@ -648,19 +651,26 @@ class TestValidation:
     def test_unnormalized_weights_rejected(self, net, batch):
         for bad in ([0.5, 0.6], [np.nan, np.nan]):
             w = uniform_weights(SPACE)
-            w[("enc", 0, "fd")] = Tensor(np.array(bad))
+            w.flat.data[SPACE.layout.spans[("enc", 0, "fd")]] = bad
             with pytest.raises(ValueError, match="sum to 1"):
                 net.mixed_forward(batch, w)
 
-    def test_weights_of_every_group_in_its_shape_required(self, net, batch):
+    def test_only_group_weights_of_its_own_space_taken(self, net, batch):
         w = uniform_weights(SPACE)
-        del w[("enc", 0, "fd")]
-        with pytest.raises(ValueError, match="missing group"):
-            net.mixed_forward(batch, w)
-        w = uniform_weights(SPACE)
-        w[("enc", 0, "fd")] = Tensor(np.full(3, 1 / 3))
-        with pytest.raises(ShapeError, match=r"shape \(3,\) != \(2,\)"):
-            net.mixed_forward(batch, w)
+        refused = [
+            ({k: w[k] for k in SPACE.layout.keys}, "dict"),
+            # the same groups and layout, in a space that is not the supernet's
+            (uniform_weights(replace(SPACE, vocab_size=12)), "another space"),
+            (uniform_weights(SPLIT_SPACE), "another space"),
+        ]
+        for bad, got in refused:
+            with pytest.raises(TypeError, match=f"GroupWeights of this space, got .*{got}"):
+                net.mixed_forward(batch, bad)
+            with pytest.raises(TypeError, match=f"GroupWeights of this space, got .*{got}"):
+                expected_param_count(SPACE, bad)
+        n = SPACE.layout.size
+        with pytest.raises(ShapeError, match=rf"flat shape \({n + 1},\) != \({n},\)"):
+            GroupWeights(SPACE, Tensor(np.full(n + 1, 0.5)))
 
     def test_unknown_parameter_init_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown init kind orthogonal"):
@@ -668,7 +678,7 @@ class TestValidation:
 
     def test_unknown_materialize_init_rejected(self, net):
         with pytest.raises(ValueError, match="'inherit' or 'fresh'"):
-            net.materialize(DerivedArch.minimal(SPACE), init="copy")
+            net.materialize(minimal_arch(SPACE), init="copy")
 
     def test_length_mask_mismatch_rejected(self, net, batch):
         bad = Batch(batch.features, batch.feat_lens + 100, batch.tokens_in, batch.token_seqs)
@@ -677,7 +687,7 @@ class TestValidation:
 
     def test_encoder_entry_checks_features_and_lengths(self, net, batch):
         # greedy decoding enters through forward_encoder, not the full forward
-        model = net.materialize(DerivedArch.minimal(SPACE))
+        model = net.materialize(minimal_arch(SPACE))
         with pytest.raises(ShapeError, match=r"\(B, T, F\)"):
             model.forward_encoder(batch.features[0], batch.feat_lens)
         with pytest.raises(ShapeError, match="feature dim"):

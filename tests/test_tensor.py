@@ -84,7 +84,6 @@ def _zeros(*shape):
 # each op's refusal of an input it cannot take: (call, error, message)
 REFUSED = {
     "item of a non-scalar": (lambda: _zeros(2).item(), ValueError, "item"),
-    "tensor/tensor division": (lambda: _zeros(2) / _zeros(2), TypeError, "division"),
     "backward of a non-Tensor": (lambda: backward(1.0), TypeError, "expects a Tensor"),
     "advanced slice key": (lambda: _zeros(3)[[0, 1]], TypeError, "basic indexing"),
     "transpose axes": (lambda: T.transpose(_zeros(2, 3), (0, 0)), ShapeError, "transpose"),

@@ -29,13 +29,17 @@ def fd_grad(fn, values, wrt, h=1e-5):
 
 
 def check_grads(fn, values, tol=1e-4, h=1e-5):
-    """Assert autodiff grads of scalar fn against central differences."""
+    """Assert autodiff grads of scalar fn against central differences, and
+    return the worst relative error over every argument."""
     tensors = [Tensor(np.array(v, dtype=np.float64), requires_grad=True) for v in values]
     out = fn(*tensors)
     backward(out)
+    worst_all = 0.0
     for i, t in enumerate(tensors):
         num = fd_grad(fn, values, i, h=h)
         denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-3)
         rel = np.abs(t.grad - num) / denom
         worst = rel.max() if rel.size else 0.0
         assert worst < tol, f"grad mismatch for arg {i}: worst rel err {worst:.3e}"
+        worst_all = max(worst_all, float(worst))
+    return worst_all

@@ -13,11 +13,20 @@ a module are the lines of every code object compiled from it, nested
 ones included, less its docstrings. Lines no test ran are printed under
 their module. The exit code is pytest's. Tracing about doubles the
 suite's time.
+
+``cli_unreached(workdir)`` answers the other question, what only a test
+runs: it runs the demo recipe's command-line sequence, cut down, in this
+process under a call tracer and returns the package code objects that
+never ran. ``tests/test_tools.py`` compares that list with an allowlist
+that gives each entry's reason.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import json
 import sys
 import threading
 import types
@@ -32,14 +41,75 @@ ROOT = PACKAGE.parents[1]
 DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider", "tests"]
 
 
-def executable_lines(source, filename):
-    """Line numbers of the instructions of every code object in ``source``."""
-    lines, todo = set(), [compile(source, filename, "exec")]
+def code_objects(source, filename):
+    """Every code object compiled from ``source``, nested ones included."""
+    todo = [compile(source, filename, "exec")]
     while todo:
         code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        yield code
         todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+
+
+def executable_lines(source, filename):
+    """Line numbers of the instructions of every code object in ``source``."""
+    lines = set()
+    for code in code_objects(source, filename):
+        lines.update(line for _, _, line in code.co_lines() if line)
     return lines - docstring_lines(ast.parse(source))
+
+
+def cli_runs(workdir):
+    """The argument lists of the demo recipe's command-line sequence, cut
+    down to one epoch per stage and 16/8/8/8 utterances per split, with
+    every output under ``workdir``: ``gen-data``, ``run``, ``evaluate``,
+    ``dump-arch`` of a model and of a supernet, and ``sweep``."""
+    config = ROOT / "configs" / "demo.json"
+    stages = len(json.loads(config.read_text())["stages"])
+    out = Path(workdir) / "run"
+    sets = [f"out_dir={out}", f"data.dir={Path(workdir) / 'data'}"]
+    sets += [f"data.{corpus}.counts.{split}={n}" for corpus in ("source", "target")
+             for split, n in (("train", 16), ("heldout", 8), ("dev", 8), ("test", 8))]
+    sets += [f"stages.{i}.epochs=1" for i in range(stages)]
+    common = ["-c", str(config)] + [arg for s in sets for arg in ("--set", s)]
+    return [["gen-data", *common], ["run", *common],
+            ["evaluate", *common, "--checkpoint", str(out / "m_hyper_tgt.ckpt")],
+            ["dump-arch", "--checkpoint", str(out / "m_hyper_tgt.ckpt")],
+            ["dump-arch", "--checkpoint", str(out / "sn_tgt.ckpt")],
+            ["sweep", *common]]
+
+
+def cli_unreached(workdir):
+    """``module.qualname`` of each code object of the package that the
+    ``cli_runs`` sequence never calls, sorted, one entry per distinct
+    name. Run it in a fresh process: the tracer is installed before the
+    package is imported, so module and class bodies count, and it
+    replaces any tracer of this thread."""
+    if "confadapt" in sys.modules:
+        raise RuntimeError("cli_unreached: confadapt is already imported")
+    called = set()
+
+    def trace_calls(frame, _event, _arg):
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+
+    sys.path.insert(0, str(PACKAGE.parent))
+    sys.settrace(trace_calls)
+    try:
+        from confadapt import cli
+        for argv in cli_runs(workdir):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"confadapt {argv[0]} exited {code}")
+    finally:
+        sys.settrace(None)
+    ran = {(str(Path(f).resolve()), line, name) for f, line, name in called}
+    missed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for code in code_objects(path.read_text(), str(path)):
+            if (str(path), code.co_firstlineno, code.co_qualname) not in ran:
+                missed.add(f"{path.stem}.{code.co_qualname}")
+    return sorted(missed)
 
 
 def main(argv):
